@@ -9,8 +9,15 @@ unpacking event tuples.
 
 This module provides two fused drivers used by :meth:`TwigMEvaluator.evaluate`:
 
-* :func:`fused_pure_evaluate` — a bulk regex scan over a complete in-memory
-  document that drives the TwigM transitions *inline*.  The inlined
+* :func:`fused_pure_evaluate` — a bulk scan over a complete in-memory
+  document that drives the TwigM transitions *inline*.  Tags are recognised
+  under the tag-memo policy of :mod:`repro.xmlstream.tokenizer` (which
+  states the soundness argument and the cap): a start tag seen before costs
+  one probe of a per-call table whose entries also carry the machine's
+  matching-node lists, an end tag is compared literally with the open
+  element's, everything else goes through the tokenizer's regexes, and no
+  well-formedness check is skipped.  Line numbers are computed only when a
+  :class:`NodeRef` is built.  The inlined
   start/end bodies are deliberate copies of
   :func:`~repro.core.transitions.process_start_element` /
   :func:`process_end_element` (calling them per tag costs ~15% of this
@@ -34,7 +41,7 @@ and skip them entirely when it is ``None``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 from xml.parsers import expat
 
 from ..errors import XMLSyntaxError
@@ -42,7 +49,10 @@ from ..xpath.ast import Axis, evaluate_formula
 from ..xmlstream.tokenizer import (
     _END_TAG_RE,
     _START_TAG_RE,
+    _TAG_MEMO_KEY_CAP,
+    StreamTokenizer,
     decode_entities,
+    memoise_start_tag,
     parse_attribute_string,
 )
 from .machine import TwigMachine
@@ -84,6 +94,43 @@ def fused_pure_evaluate(
         return None
 
 
+def _scan_misc(doc: str, lt: int) -> Optional[Tuple[int, bool, Optional[str]]]:
+    """Recognise the uncommon construct at ``doc[lt] == '<'``.
+
+    Returns ``(end, is_event, cdata)``: the index just past a comment or
+    processing instruction (``is_event`` — the event pipeline flushes pending
+    text and emits one event for it), a CDATA section (``cdata`` is its raw
+    content), or an XML declaration / DOCTYPE (neither).  ``None`` means
+    unterminated or unsupported: replay through the event pipeline.
+    """
+    if doc.startswith("<!--", lt):
+        end = doc.find("-->", lt + 4)
+        return None if end == -1 else (end + 3, True, None)
+    if doc.startswith("<![CDATA[", lt):
+        end = doc.find("]]>", lt + 9)
+        return None if end == -1 else (end + 3, False, doc[lt + 9:end])
+    if doc.startswith("<?", lt):
+        end = doc.find("?>", lt + 2)
+        if end == -1:
+            return None
+        target = doc[lt + 2:end].partition(" ")[0].strip()
+        return end + 2, target.lower() != "xml", None
+    if doc.startswith("<!DOCTYPE", lt):
+        end = StreamTokenizer._find_doctype_end(doc, lt)
+        return None if end is None else (end, False, None)
+    return None
+
+
+def _append_text(text_nodes, text: str, level: int) -> None:
+    """Hand one run of character data to the entries that collect text."""
+    for machine_node in text_nodes:
+        for entry in machine_node.stack.entries:
+            if entry.string_parts is not None:
+                entry.string_parts.append(text)
+            if entry.direct_parts is not None and level == entry.level:
+                entry.direct_parts.append(text)
+
+
 def _fused_pure_scan(
     machine: TwigMachine,
     doc: str,
@@ -94,88 +141,81 @@ def _fused_pure_scan(
     n = len(doc)
     find = doc.find
     count = doc.count
+    startswith = doc.startswith
     start_match = _START_TAG_RE.match
     end_match = _END_TAG_RE.match
-    match_cache = machine._match_cache
-    match_cache_postorder = machine._match_cache_postorder
     nodes_matching = machine.nodes_matching
     nodes_matching_postorder = machine.nodes_matching_postorder
     text_nodes = machine.text_nodes
     need_text = bool(text_nodes)
-    track_lines = "\n" in doc
+    has_entities = "&" in doc
+    # Per-call tag memo: raw start tag -> (name, attributes, empty, matching
+    # nodes, literal end tag, matching nodes in post-order).
+    memo: dict = {}
+    memo_get = memo.get
 
-    open_elements: List[str] = []
+    # One memo entry per open element (built on a miss even when it cannot
+    # be stored), so the end tag's spelling and node list need no lookup.
+    open_tags: List[tuple] = []
     order = 0
     index = 0
+    # Line numbers are lazy: ``line`` is exact for ``doc[:line_pos]`` and is
+    # only brought forward when a NodeRef is built.
     line = 1
-    root_seen = False
+    line_pos = 0
     root_closed = False
-    # Emulates the event pipeline's text coalescing for the statistics
-    # counters: one Characters event per run of text flushed by a
+    # What the stream looks like is counted in locals and written to
+    # ``statistics`` once at the end (a bailed scan's statistics are thrown
+    # away by the caller).  ``text_flushes`` emulates the event pipeline's
+    # text coalescing: one Characters event per run of text flushed by a
     # structural event, comment or processing instruction.
     pending_text = False
     text_flushes = 0
     misc_events = 0  # comments + processing instructions
+    attribute_count = 0
+    max_depth = 0
 
     while index < n:
         lt = find("<", index)
         if lt == -1:
-            tail = doc[index:]
-            if tail.strip():
+            if doc[index:].strip():
                 return None  # trailing content / unclosed element -> replay
-            if track_lines:
-                line += tail.count("\n")
-            index = n
             break
         if lt > index:
-            if open_elements:
+            if open_tags:
                 if need_text:
                     text = doc[index:lt]
                     if "&" in text:
-                        text = decode_entities(text, line=line)
-                    level = len(open_elements)
-                    for machine_node in text_nodes:
-                        for entry in machine_node.stack.entries:
-                            if entry.string_parts is not None:
-                                entry.string_parts.append(text)
-                            if entry.direct_parts is not None and level == entry.level:
-                                entry.direct_parts.append(text)
-                    pending_text = True
-                else:
-                    # Text content is irrelevant to this query; validate
-                    # entity references without materialising the slice
-                    # unless one is present.
-                    if find("&", index, lt) != -1:
-                        decode_entities(doc[index:lt], line=line)
-                    pending_text = True
+                        text = decode_entities(text)
+                    _append_text(text_nodes, text, len(open_tags))
+                # Text content is irrelevant to this query; validate entity
+                # references without materialising the slice unless one is
+                # present.
+                elif has_entities and find("&", index, lt) != -1:
+                    decode_entities(doc[index:lt])
+                pending_text = True
             elif doc[index:lt].strip():
                 return None  # character data outside the root element
-            if track_lines:
-                line += count("\n", index, lt)
         second = doc[lt + 1] if lt + 1 < n else ""
         if second == "/":
-            match = end_match(doc, lt)
-            if match is None:
-                return None
-            name = match.group(1)
-            end = match.end()
-            if track_lines:
-                line += count("\n", lt, end)
-            if not open_elements or open_elements[-1] != name:
-                return None  # mismatched end tag -> replay for exact error
+            if not open_tags:
+                return None  # stray end tag -> replay for exact error
+            name, _, _, _, closer, matching = open_tags.pop()
+            if startswith(closer, lt):
+                end = lt + len(closer)
+            else:
+                # ``</b >`` spellings; a mismatch replays for the exact error.
+                match = end_match(doc, lt)
+                if match is None or match.group(1) != name:
+                    return None
+                end = match.end()
             if pending_text:
                 pending_text = False
-                if statistics is not None:
-                    statistics.text_chunks += 1
-                    text_flushes += 1
-            level = len(open_elements)
-            open_elements.pop()
-            if not open_elements:
+                text_flushes += 1
+            level = len(open_tags) + 1
+            if level == 1:
                 root_closed = True
             # ---- inline end-element transition (mirrors transitions.py) ----
-            matching = match_cache_postorder.get(name)
-            if matching is None:
-                matching = nodes_matching_postorder(name)
             popped = False
             for machine_node in matching:
                 entries = machine_node.stack.entries
@@ -250,39 +290,43 @@ def _fused_pure_scan(
             index = end
             continue
         elif second not in ("!", "?", ""):
-            match = start_match(doc, lt)
-            if match is None:
-                return None
-            name, raw_attributes, empty = match.group(1, 2, 3)
-            end = match.end()
-            if track_lines:
-                line += count("\n", lt, end)
-            if root_closed:
-                return None  # second root element -> replay for exact error
-            if raw_attributes:
+            gt = find(">", lt, lt + _TAG_MEMO_KEY_CAP)
+            hit = memo_get(doc[lt:gt + 1])
+            if hit is not None:
+                end = gt + 1
+            else:
+                match = start_match(doc, lt)
+                if match is None:
+                    return None
+                name, raw_attributes, empty = match.group(1, 2, 3)
+                end = match.end()
                 # Duplicate attributes / bad entity references raise
                 # XMLSyntaxError, which the fused_pure_evaluate wrapper
-                # converts into an event-pipeline replay.
-                attributes = parse_attribute_string(raw_attributes, name, line)
-            else:
-                attributes = ()
+                # converts into an event-pipeline replay — on every
+                # occurrence, because such a tag is never memoised.
+                hit = (
+                    name,
+                    parse_attribute_string(raw_attributes, name, None)
+                    if raw_attributes else (),
+                    empty,
+                    nodes_matching(name),
+                    f"</{name}>",
+                    nodes_matching_postorder(name),
+                )
+                memoise_start_tag(memo, doc, lt, gt, end, hit)
+            if root_closed:
+                return None  # second root element -> replay for exact error
             if pending_text:
                 pending_text = False
-                if statistics is not None:
-                    statistics.text_chunks += 1
-                    text_flushes += 1
-            open_elements.append(name)
-            root_seen = True
-            level = len(open_elements)
+                text_flushes += 1
+            open_tags.append(hit)
+            level = len(open_tags)
+            name, attributes, empty, matching, _, _ = hit
+            if attributes:
+                attribute_count += len(attributes)
+            if level > max_depth:
+                max_depth = level
             # ---- inline start-element transition (mirrors transitions.py) ----
-            if statistics is not None:
-                statistics.elements += 1
-                statistics.attributes += len(attributes)
-                if level > statistics.max_depth:
-                    statistics.max_depth = level
-            matching = match_cache.get(name)
-            if matching is None:
-                matching = nodes_matching(name)
             if matching:
                 node_ref = None
                 pushed = False
@@ -308,6 +352,8 @@ def _fused_pure_scan(
                         elif not parent_entries or parent_entries[0].level >= level:
                             continue
                     if node_ref is None:
+                        line += count("\n", line_pos, end)
+                        line_pos = end
                         node_ref = NodeRef(order, name, level, line)
                     entry = acquire_entry(
                         level,
@@ -341,8 +387,8 @@ def _fused_pure_scan(
             # -----------------------------------------------------------------
             order += 1
             if empty:
-                open_elements.pop()
-                if not open_elements:
+                open_tags.pop()
+                if level == 1:
                     root_closed = True
                 process_end_element(
                     machine, name, level, statistics, collector,
@@ -351,84 +397,31 @@ def _fused_pure_scan(
             index = end
             continue
         # -------- uncommon constructs: comments, CDATA, PI, DOCTYPE --------
-        if doc.startswith("<!--", lt):
-            end3 = find("-->", lt + 4)
-            if end3 == -1:
-                return None
+        misc = _scan_misc(doc, lt)
+        if misc is None:
+            return None  # anything else: replay through the event pipeline
+        index, is_event, cdata = misc
+        if is_event:
             if pending_text:
                 pending_text = False
-                if statistics is not None:
-                    statistics.text_chunks += 1
-                    text_flushes += 1
-            misc_events += 1  # Comment event
-            if track_lines:
-                line += count("\n", lt, end3 + 3)
-            index = end3 + 3
-            continue
-        if doc.startswith("<![CDATA[", lt):
-            end3 = find("]]>", lt + 9)
-            if end3 == -1:
-                return None
-            content = doc[lt + 9:end3]
-            if open_elements:
-                if content:
-                    if need_text:
-                        level = len(open_elements)
-                        for machine_node in text_nodes:
-                            for entry in machine_node.stack.entries:
-                                if entry.string_parts is not None:
-                                    entry.string_parts.append(content)
-                                if entry.direct_parts is not None and level == entry.level:
-                                    entry.direct_parts.append(content)
-                    pending_text = True
-            elif content.strip():
-                return None  # CDATA outside the root element
-            if track_lines:
-                line += count("\n", lt, end3 + 3)
-            index = end3 + 3
-            continue
-        if second == "?":
-            end2 = find("?>", lt + 2)
-            if end2 == -1:
-                return None
-            content = doc[lt + 2:end2]
-            target = content.partition(" ")[0].strip()
-            if target.lower() != "xml":
-                if pending_text:
-                    pending_text = False
-                    if statistics is not None:
-                        statistics.text_chunks += 1
-                        text_flushes += 1
-                misc_events += 1  # ProcessingInstruction event
-            if track_lines:
-                line += count("\n", lt, end2 + 2)
-            index = end2 + 2
-            continue
-        if doc.startswith("<!DOCTYPE", lt):
-            depth = 0
-            scan = lt
-            doctype_end = -1
-            while scan < n:
-                char = doc[scan]
-                if char == "[":
-                    depth += 1
-                elif char == "]":
-                    depth -= 1
-                elif char == ">" and depth <= 0:
-                    doctype_end = scan + 1
-                    break
-                scan += 1
-            if doctype_end == -1:
-                return None
-            if track_lines:
-                line += count("\n", lt, doctype_end)
-            index = doctype_end
-            continue
-        return None  # anything else: replay through the event pipeline
+                text_flushes += 1
+            misc_events += 1
+        elif cdata:
+            if not open_tags:
+                if cdata.strip():
+                    return None  # CDATA outside the root element
+            else:
+                if need_text:
+                    _append_text(text_nodes, cdata, len(open_tags))
+                pending_text = True
 
-    if open_elements or not root_seen:
+    if open_tags or not order:
         return None  # unclosed element / no root -> replay for exact error
     if statistics is not None:
+        statistics.elements += order
+        statistics.attributes += attribute_count
+        statistics.text_chunks += text_flushes
+        statistics.max_depth = max(statistics.max_depth, max_depth)
         # StartDocument + EndDocument + one start and one end per element
         # + coalesced text chunks + comments/PIs.
         statistics.events += 2 + 2 * order + text_flushes + misc_events
@@ -603,23 +596,31 @@ def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
     n = len(doc)
     find = doc.find
     count = doc.count
+    startswith = doc.startswith
     start_match = _START_TAG_RE.match
     end_match = _END_TAG_RE.match
     dispatch = index.dispatch
     text_runtimes = index.text_runtimes()
     need_text = bool(text_runtimes)
-    track_lines = "\n" in doc
+    has_entities = "&" in doc
+    # Per-call tag memo: raw start tag -> (name, attributes, empty,
+    # interested runtimes, literal end tag).  Subscriptions cannot change
+    # mid-scan (deliveries are buffered), so the runtime lists stay valid.
+    memo: dict = {}
+    memo_get = memo.get
 
     # The scan's open-element stack *is* the index's live ancestor chain:
     # family runtimes resolve residual paths against it at emission time, so
     # it must reflect the chain of the element being closed — hence the pops
-    # below happen after the end-element dispatch, not before.
+    # below happen after the end-element dispatch, not before.  ``open_tags``
+    # shadows it with the memo entries (see _fused_pure_scan).
     open_elements = index.context
     del open_elements[:]
+    open_tags: List[tuple] = []
     order = 0
     index_pos = 0
-    line = 1
-    root_seen = False
+    line = 1  # lazy, exact for doc[:line_pos] (see _fused_pure_scan)
+    line_pos = 0
     root_closed = False
     pending_text = False
 
@@ -632,92 +633,95 @@ def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
             if statistics is not None:
                 statistics.text_chunks += 1
 
+    def end_element(name: str, level: int, runtimes) -> None:
+        for runtime in runtimes:
+            solutions = process_end_element(
+                runtime.machine, name, level, runtime.statistics,
+                runtime.collector, eager_emission=runtime.eager,
+            )
+            if solutions:
+                if runtime.is_family:
+                    runtime.resolve(solutions)
+                deliveries.append((runtime, solutions))
+
     while index_pos < n:
         lt = find("<", index_pos)
         if lt == -1:
-            tail = doc[index_pos:]
-            if tail.strip():
+            if doc[index_pos:].strip():
                 return None  # trailing content / unclosed element -> replay
-            if track_lines:
-                line += tail.count("\n")
-            index_pos = n
             break
         if lt > index_pos:
             if open_elements:
                 if need_text:
                     text = doc[index_pos:lt]
                     if "&" in text:
-                        text = decode_entities(text, line=line)
+                        text = decode_entities(text)
                     level = len(open_elements)
                     for runtime in text_runtimes:
-                        for machine_node in runtime.machine.text_nodes:
-                            for entry in machine_node.stack.entries:
-                                if entry.string_parts is not None:
-                                    entry.string_parts.append(text)
-                                if entry.direct_parts is not None and level == entry.level:
-                                    entry.direct_parts.append(text)
-                    pending_text = True
-                else:
-                    if find("&", index_pos, lt) != -1:
-                        decode_entities(doc[index_pos:lt], line=line)
-                    pending_text = True
+                        _append_text(runtime.machine.text_nodes, text, level)
+                elif has_entities and find("&", index_pos, lt) != -1:
+                    decode_entities(doc[index_pos:lt])
+                pending_text = True
             elif doc[index_pos:lt].strip():
                 return None  # character data outside the root element
-            if track_lines:
-                line += count("\n", index_pos, lt)
         second = doc[lt + 1] if lt + 1 < n else ""
         if second == "/":
-            match = end_match(doc, lt)
-            if match is None:
-                return None
-            name = match.group(1)
-            end = match.end()
-            if track_lines:
-                line += count("\n", lt, end)
-            if not open_elements or open_elements[-1] != name:
-                return None  # mismatched end tag -> replay for exact error
+            if not open_tags:
+                return None  # stray end tag -> replay for exact error
+            name, _, _, runtimes, closer = open_tags[-1]
+            if startswith(closer, lt):
+                end = lt + len(closer)
+            else:
+                # ``</b >`` spellings; a mismatch replays for the exact error.
+                match = end_match(doc, lt)
+                if match is None or match.group(1) != name:
+                    return None
+                end = match.end()
             if pending_text:
                 pending_text = False
                 flush_text()
-            level = len(open_elements)
-            for runtime in dispatch(name):
-                solutions = process_end_element(
-                    runtime.machine, name, level, runtime.statistics,
-                    runtime.collector, eager_emission=runtime.eager,
-                )
-                if solutions:
-                    if runtime.is_family:
-                        runtime.resolve(solutions)
-                    deliveries.append((runtime, solutions))
+            if runtimes:
+                end_element(name, len(open_tags), runtimes)
+            open_tags.pop()
             open_elements.pop()
-            if not open_elements:
+            if not open_tags:
                 root_closed = True
             index_pos = end
             continue
         elif second not in ("!", "?", ""):
-            match = start_match(doc, lt)
-            if match is None:
-                return None
-            name, raw_attributes, empty = match.group(1, 2, 3)
-            end = match.end()
-            if track_lines:
-                line += count("\n", lt, end)
-            if root_closed:
-                return None  # second root element -> replay for exact error
-            if raw_attributes:
+            gt = find(">", lt, lt + _TAG_MEMO_KEY_CAP)
+            hit = memo_get(doc[lt:gt + 1])
+            if hit is not None:
+                end = gt + 1
+            else:
+                match = start_match(doc, lt)
+                if match is None:
+                    return None
+                name, raw_attributes, empty = match.group(1, 2, 3)
+                end = match.end()
                 # Raises XMLSyntaxError on duplicates / bad entities, which
                 # the wrapper converts into an event-pipeline replay.
-                attributes = parse_attribute_string(raw_attributes, name, line)
-            else:
-                attributes = ()
+                hit = (
+                    name,
+                    parse_attribute_string(raw_attributes, name, None)
+                    if raw_attributes else (),
+                    empty,
+                    dispatch(name),
+                    f"</{name}>",
+                )
+                memoise_start_tag(memo, doc, lt, gt, end, hit)
+            if root_closed:
+                return None  # second root element -> replay for exact error
             if pending_text:
                 pending_text = False
                 flush_text()
+            name, attributes, empty, runtimes, _ = hit
+            open_tags.append(hit)
             open_elements.append(name)
-            root_seen = True
-            level = len(open_elements)
-            runtimes = dispatch(name)
+            level = len(open_tags)
             if runtimes:
+                line += count("\n", line_pos, end)
+                line_pos = end
                 for runtime in runtimes:
                     process_start_element(
                         runtime.machine, name, level, attributes, line,
@@ -725,92 +729,33 @@ def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
                     )
             order += 1
             if empty:
-                for runtime in runtimes:
-                    solutions = process_end_element(
-                        runtime.machine, name, level, runtime.statistics,
-                        runtime.collector, eager_emission=runtime.eager,
-                    )
-                    if solutions:
-                        if runtime.is_family:
-                            runtime.resolve(solutions)
-                        deliveries.append((runtime, solutions))
+                end_element(name, level, runtimes)
+                open_tags.pop()
                 open_elements.pop()
-                if not open_elements:
+                if level == 1:
                     root_closed = True
             index_pos = end
             continue
         # -------- uncommon constructs: comments, CDATA, PI, DOCTYPE --------
-        if doc.startswith("<!--", lt):
-            end3 = find("-->", lt + 4)
-            if end3 == -1:
-                return None
+        misc = _scan_misc(doc, lt)
+        if misc is None:
+            return None  # anything else: replay through the event pipeline
+        index_pos, is_event, cdata = misc
+        if is_event:
             if pending_text:
                 pending_text = False
                 flush_text()
-            if track_lines:
-                line += count("\n", lt, end3 + 3)
-            index_pos = end3 + 3
-            continue
-        if doc.startswith("<![CDATA[", lt):
-            end3 = find("]]>", lt + 9)
-            if end3 == -1:
-                return None
-            content = doc[lt + 9:end3]
-            if open_elements:
-                if content:
-                    if need_text:
-                        level = len(open_elements)
-                        for runtime in text_runtimes:
-                            for machine_node in runtime.machine.text_nodes:
-                                for entry in machine_node.stack.entries:
-                                    if entry.string_parts is not None:
-                                        entry.string_parts.append(content)
-                                    if entry.direct_parts is not None and level == entry.level:
-                                        entry.direct_parts.append(content)
-                    pending_text = True
-            elif content.strip():
-                return None  # CDATA outside the root element
-            if track_lines:
-                line += count("\n", lt, end3 + 3)
-            index_pos = end3 + 3
-            continue
-        if second == "?":
-            end2 = find("?>", lt + 2)
-            if end2 == -1:
-                return None
-            content = doc[lt + 2:end2]
-            target = content.partition(" ")[0].strip()
-            if target.lower() != "xml":
-                if pending_text:
-                    pending_text = False
-                    flush_text()
-            if track_lines:
-                line += count("\n", lt, end2 + 2)
-            index_pos = end2 + 2
-            continue
-        if doc.startswith("<!DOCTYPE", lt):
-            depth = 0
-            scan = lt
-            doctype_end = -1
-            while scan < n:
-                char = doc[scan]
-                if char == "[":
-                    depth += 1
-                elif char == "]":
-                    depth -= 1
-                elif char == ">" and depth <= 0:
-                    doctype_end = scan + 1
-                    break
-                scan += 1
-            if doctype_end == -1:
-                return None
-            if track_lines:
-                line += count("\n", lt, doctype_end)
-            index_pos = doctype_end
-            continue
-        return None  # anything else: replay through the event pipeline
+        elif cdata:
+            if not open_elements:
+                if cdata.strip():
+                    return None  # CDATA outside the root element
+            else:
+                level = len(open_elements)
+                for runtime in text_runtimes:
+                    _append_text(runtime.machine.text_nodes, cdata, level)
+                pending_text = True
 
-    if open_elements or not root_seen:
+    if open_elements or not order:
         return None  # unclosed element / no root -> replay for exact error
     return order
 

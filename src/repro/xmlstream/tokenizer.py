@@ -26,7 +26,7 @@ It deliberately does *not* implement DTD entity expansion or validation.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import XMLSyntaxError
 from .reader import IncrementalByteDecoder
@@ -62,11 +62,12 @@ def _is_name_char(char: str) -> bool:
 
 
 # Bulk-scanning fast path: one precompiled regex match per markup construct
-# instead of a character-at-a-time state machine.  The name pattern mirrors
-# _is_name_start/_is_name_char ([^\W\d] is the unicode-aware "letter or
-# underscore" class); any construct the fast patterns do not recognise falls
-# back to the character-level slow path, which reports precise errors and
-# handles chunk-boundary splits.
+# instead of a character-at-a-time state machine — and, for a tag spelling
+# already validated, one dict probe instead of the regex (tag memo, below).
+# The name pattern mirrors _is_name_start/_is_name_char ([^\W\d] is the
+# unicode-aware "letter or underscore" class); any construct the fast
+# patterns do not recognise falls back to the character-level slow path,
+# which reports precise errors and handles chunk-boundary splits.
 _NAME_PATTERN = r"(?:[^\W\d]|:)[\w:.\-]*"
 _START_TAG_RE = re.compile(
     r"<(%(name)s)"
@@ -75,6 +76,43 @@ _START_TAG_RE = re.compile(
 )
 _END_TAG_RE = re.compile(r"</\s*(%s)\s*>" % _NAME_PATTERN)
 _ATTRIBUTE_RE = re.compile(r"(%s)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')" % _NAME_PATTERN)
+
+# Tag memo policy, shared by StreamTokenizer._scan and the fused scans in
+# core/fastpath.py.  Documents repeat a few dozen tag spellings, so a start
+# tag is probed by its raw text ``buffer[lt : first ">" + 1]`` (searched at
+# most _TAG_MEMO_KEY_CAP characters ahead, which also bounds the key) and a
+# hit replaces the regex match, its group extraction and the attribute parse.
+# Soundness: only memoise_start_tag inserts, and only a text _START_TAG_RE
+# and parse_attribute_string accepted in full, whose meaning depends on
+# nothing outside it.  A ">" inside a quoted value cuts the probe short of
+# the tag; that prefix has unbalanced quotes, was never a whole valid tag,
+# so was never a key.  Duplicate attributes and bad entities raise before
+# the insert and therefore raise on every occurrence.  End tags need no
+# table: the literal ``</name>`` of the open element is compared in place.
+# A full table starts over (no per-entry bookkeeping), so unique tags —
+# ``<entry id="...">`` — can neither grow it nor shut out a later vocabulary.
+# Not configurable.
+_TAG_MEMO_KEY_CAP = 256
+_TAG_MEMO_ENTRY_CAP = 4096
+#: Process-wide table of the incremental tokenizer (sessions and document
+#: streams create one tokenizer per document): raw start tag ->
+#: ``(name, attributes, empty, newlines inside the tag)``.
+_TAG_MEMO: Dict[str, tuple] = {}
+
+
+def memoise_start_tag(
+    memo: Dict[str, tuple], buffer: str, lt: int, gt: int, end: int, entry: tuple
+) -> None:
+    """Remember a fully validated start tag ``buffer[lt:end]`` under the cap.
+
+    ``gt`` is the probe's first ``>`` (``-1`` when none was in reach): a tag
+    whose first ``>`` sits inside a quoted value ends later than ``gt + 1``
+    and is never stored, so a probe cut there cannot hit.
+    """
+    if end == gt + 1:
+        if len(memo) >= _TAG_MEMO_ENTRY_CAP:
+            memo.clear()
+        memo[buffer[lt:end]] = entry
 
 
 def parse_attribute_string(
@@ -415,6 +453,8 @@ class StreamTokenizer:
         track_lines = "\n" in buffer
         find = buffer.find
         count = buffer.count
+        startswith = buffer.startswith
+        memo_get = _TAG_MEMO.get
         start_match = _START_TAG_RE.match
         end_match = _END_TAG_RE.match
         while index < length:
@@ -450,16 +490,26 @@ class StreamTokenizer:
                     line += count("\n", index, lt)
             second = buffer[lt + 1] if lt + 1 < length else ""
             if second == "/":
-                match = end_match(buffer, lt)
-                if match is not None:
-                    name = match.group(1)
-                    end = match.end()
-                    if track_lines:
-                        line += count("\n", lt, end)
-                    if not open_elements or open_elements[-1] != name:
-                        # Re-raise through the slow path for the exact message.
-                        self._line = line
-                        self._handle_end_tag(name)
+                # The literal spelling of the expected end tag *is* the
+                # well-formedness check; whitespace spellings and every
+                # mismatch take the regex / slow path below.
+                end = -1
+                if open_elements:
+                    name = open_elements[-1]
+                    if startswith(f"</{name}>", lt):
+                        end = lt + len(name) + 3
+                if end == -1:
+                    match = end_match(buffer, lt)
+                    if match is not None:
+                        name = match.group(1)
+                        end = match.end()
+                        if track_lines:
+                            line += count("\n", lt, end)
+                        if not open_elements or open_elements[-1] != name:
+                            # Re-raise through the slow path for the exact message.
+                            self._line = line
+                            self._handle_end_tag(name)
+                if end != -1:
                     if pending_text:
                         text = (
                             pending_text[0]
@@ -481,22 +531,32 @@ class StreamTokenizer:
                     index = end
                     continue
             elif second not in ("!", "?", ""):
-                match = start_match(buffer, lt)
-                if match is not None:
-                    name, raw_attributes, empty = match.group(1, 2, 3)
-                    end = match.end()
-                    if track_lines:
-                        line += count("\n", lt, end)
+                gt = find(">", lt, lt + _TAG_MEMO_KEY_CAP)
+                hit = memo_get(buffer[lt:gt + 1])
+                if hit is not None:
+                    name, attributes, empty, newlines = hit
+                    end = gt + 1
+                    line += newlines
                     if self._root_closed:
-                        raise XMLSyntaxError(
-                            f"element '{name}' appears after the root element was closed",
-                            line=line,
+                        raise self._second_root(name, line)
+                else:
+                    match = start_match(buffer, lt)
+                    if match is not None:
+                        name, raw_attributes, empty = match.group(1, 2, 3)
+                        end = match.end()
+                        newlines = count("\n", lt, end) if track_lines else 0
+                        line += newlines
+                        if self._root_closed:
+                            raise self._second_root(name, line)
+                        # Duplicate attributes / bad entities raise here, so
+                        # such a tag is never memoised and raises every time.
+                        attributes = (
+                            parse_attribute_string(raw_attributes, name, line)
+                            if raw_attributes else ()
                         )
-                    if raw_attributes:
-                        self._line = line
-                        attributes = self._parse_attributes_fast(name, raw_attributes)
-                    else:
-                        attributes = ()
+                        hit = (name, attributes, empty, newlines)
+                        memoise_start_tag(_TAG_MEMO, buffer, lt, gt, end, hit)
+                if hit is not None:
                     if pending_text:
                         text = (
                             pending_text[0]
@@ -534,12 +594,6 @@ class StreamTokenizer:
         self._position = position
         self._line = line
         self._buffer = buffer[index:]
-
-    def _parse_attributes_fast(
-        self, tag_name: str, raw: str
-    ) -> Tuple[Tuple[str, str], ...]:
-        """Build the attribute tuple from a regex-validated attribute string."""
-        return parse_attribute_string(raw, tag_name, self._line)
 
     def _scan_markup(self, buffer: str, start: int, final: bool) -> Optional[int]:
         """Parse one markup construct starting at ``buffer[start] == '<'``.
@@ -745,12 +799,15 @@ class StreamTokenizer:
             attributes.append((attr_name, value))
         return name, tuple(attributes)
 
+    @staticmethod
+    def _second_root(name: str, line: int) -> XMLSyntaxError:
+        return XMLSyntaxError(
+            f"element '{name}' appears after the root element was closed", line=line
+        )
+
     def _handle_start_tag(self, name: str, attributes: Tuple[Tuple[str, str], ...]) -> None:
         if self._root_closed:
-            raise XMLSyntaxError(
-                f"element '{name}' appears after the root element was closed",
-                line=self._line,
-            )
+            raise self._second_root(name, self._line)
         self._flush_text()
         self._open_elements.append(name)
         self._root_seen = True
