@@ -255,13 +255,13 @@ class NaiveStreamingEvaluator:
                     if self._text_output[query_node.node_id] is not None
                     else None,
                 )
-                self._resolve_attributes(record, event)
+                self._record_attributes(record, event)
                 self._open[query_node.node_id].append(record)
                 stats.records_created += 1
                 stats.live_records += 1
         stats.observe_live()
 
-    def _resolve_attributes(self, record: MatchRecord, event: StartElement) -> None:
+    def _record_attributes(self, record: MatchRecord, event: StartElement) -> None:
         stats = self.statistics
         node_id = record.query_node.node_id
         for predicate in self._attribute_predicates[node_id]:

@@ -19,6 +19,7 @@ common one-shot cases.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from ..errors import StreamStateError
@@ -38,7 +39,7 @@ from ..xmlstream.sax import event_batches, iter_events
 from ..xmlstream.serializer import serialize_events
 from ..xpath.ast import QueryTree
 from .builder import build_machine
-from .fastpath import FusedExpatDriver, fused_pure_evaluate
+from .fastpath import FusedExpatDriver, fused_pure_multi_evaluate
 from .machine import TwigMachine
 from .results import ResultCollector, ResultSet, Solution
 from .statistics import EngineStatistics
@@ -274,12 +275,24 @@ class TwigMEvaluator:
                 and isinstance(source, str)
                 and not StreamReader._looks_like_path(source)
             ):
-                # Complete in-memory document: fused scan + transitions.
-                elements = fused_pure_evaluate(
-                    self.machine, source, statistics,
-                    self.collector, self.eager_emission,
+                # Complete in-memory document: the multi-query scan over a
+                # one-entry index.  The collector already holds every
+                # solution, so the delivery sink keeps nothing.
+                shape = fused_pure_multi_evaluate(
+                    _OneEntryIndex(self), source, deque(maxlen=0)
                 )
-                if elements is not None:
+                if shape is not None:
+                    elements, attributes, max_depth, text_runs, misc_events = shape
+                    if statistics is not None:
+                        statistics.elements = elements
+                        statistics.attributes = attributes
+                        statistics.max_depth = max_depth
+                        statistics.text_chunks = text_runs
+                        # StartDocument + EndDocument + one start and one
+                        # end per element + text runs + comments/PIs.
+                        statistics.events = (
+                            2 + 2 * elements + text_runs + misc_events
+                        )
                     self._element_order = elements
                     self._started = True
                     self._finished = True
@@ -414,6 +427,34 @@ class TwigMEvaluator:
             buffer = self._capture_buffers.pop(order)
             del self._capture_levels[order]
             self._fragments[order] = serialize_events(buffer)
+
+
+class _OneEntryIndex:
+    """A :class:`TwigMEvaluator` seen as a one-runtime query index.
+
+    Carries just what :func:`~repro.core.fastpath.fused_pure_multi_evaluate`
+    reads of an index and its runtimes, so the single-query engine runs the
+    multi-query scan: the evaluator's machine is the only runtime, dispatched
+    every tag its machine has nodes for (the scan memoises the answer per
+    tag spelling).
+    """
+
+    is_family = False
+
+    def __init__(self, evaluator: TwigMEvaluator) -> None:
+        self.machine = evaluator.machine
+        self.statistics = (
+            evaluator.statistics if evaluator.collect_statistics else None
+        )
+        self.collector = evaluator.collector
+        self.eager = evaluator.eager_emission
+        self.context: List[str] = []
+
+    def dispatch(self, name: str) -> List["_OneEntryIndex"]:
+        return [self] if self.machine.nodes_matching(name) else []
+
+    def text_runtimes(self) -> List["_OneEntryIndex"]:
+        return [self] if self.machine.text_nodes else []
 
 
 def _is_event_iterable(source) -> bool:

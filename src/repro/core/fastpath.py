@@ -7,45 +7,44 @@ streaming — but for the dominant ``evaluate(document)`` call it spends a
 large fraction of the per-element budget on allocating, dispatching and
 unpacking event tuples.
 
-This module provides two fused drivers used by :meth:`TwigMEvaluator.evaluate`:
+Every driver here runs start and end tags through the scalar transition
+functions of :mod:`repro.core.transitions` (the paper's §3.2); none keeps a
+private copy of them (``tools/check_single_kernel.py`` enforces that).
+There are three:
 
-* :func:`fused_pure_evaluate` — a bulk scan over a complete in-memory
-  document that drives the TwigM transitions *inline*.  Tags are recognised
-  under the tag-memo policy of :mod:`repro.xmlstream.tokenizer` (which
-  states the soundness argument and the cap): a start tag seen before costs
-  one probe of a per-call table whose entries also carry the machine's
-  matching-node lists, an end tag is compared literally with the open
+* :func:`fused_pure_multi_evaluate` — the one pure scan, behind both
+  engines' ``evaluate()`` on in-memory ``str`` documents, where chunking
+  buys no memory advantage.  It walks the document once and hands each tag
+  to the runtimes an index dispatches it to: :class:`MultiQueryEvaluator`
+  passes its :class:`~repro.core.queryindex.QueryIndex`,
+  :class:`TwigMEvaluator` passes itself as a one-entry index.  Tags are
+  recognised under the tag-memo policy of :mod:`repro.xmlstream.tokenizer`
+  (which states the soundness argument and the cap): a start tag seen
+  before costs one probe of a per-call table whose entries also carry the
+  dispatch result, an end tag is compared literally with the open
   element's, everything else goes through the tokenizer's regexes, and no
   well-formedness check is skipped.  Line numbers are computed only when a
-  :class:`NodeRef` is built.  The inlined
-  start/end bodies are deliberate copies of
-  :func:`~repro.core.transitions.process_start_element` /
-  :func:`process_end_element` (calling them per tag costs ~15% of this
-  path's budget): ANY semantic change to transitions.py must be mirrored
-  here, and the conformance suite
-  (``tests/xmlstream/test_backend_conformance.py`` — result sets *and*
-  statistics parity against the event pipeline) is the tripwire that
-  catches drift.  Used for ``str`` sources, where chunking buys no memory
-  advantage.  Returns ``None`` whenever the document needs the
-  general pipeline — unsupported constructs or any syntax error — and the
-  caller replays through the event pipeline, which reproduces the exact
+  start tag is dispatched.  Returns ``None`` whenever the document needs
+  the general pipeline — unsupported constructs or any syntax error — and
+  the caller replays through the event pipeline, which reproduces the exact
   error message of the incremental tokenizer.
-* :class:`FusedExpatDriver` — expat callbacks calling the scalar transition
-  functions directly, skipping event materialisation.  Works for any
+* :class:`FusedExpatDriver` — single-query expat callbacks.  Works for any
   (possibly streaming) source and keeps expat's constant-memory behaviour.
+* :class:`FusedExpatMultiDriver` — the indexed expat callbacks, one-shot
+  or push (session) mode.
 
-Both drivers maintain :class:`~repro.core.statistics.EngineStatistics`
-counters identical to the event pipeline when a statistics object is given,
-and skip them entirely when it is ``None``.
+Statistics are the event pipeline's: the single-query drivers reproduce its
+counters exactly (the pure scan returns the stream-level counts for its
+caller to record); the indexed drivers follow the per-subscription
+semantics documented in :mod:`repro.core.multi`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, MutableSequence, Optional, Tuple
 from xml.parsers import expat
 
 from ..errors import XMLSyntaxError
-from ..xpath.ast import Axis, evaluate_formula
 from ..xmlstream.tokenizer import (
     _END_TAG_RE,
     _START_TAG_RE,
@@ -56,42 +55,15 @@ from ..xmlstream.tokenizer import (
     parse_attribute_string,
 )
 from .machine import TwigMachine
-from .results import NodeRef, ResultCollector, Solution, SolutionKind
-from .stack import acquire_entry
+from .results import ResultCollector
 from .statistics import EngineStatistics
-from .transitions import (
-    _resolve_attributes,
-    process_end_element,
-    process_start_element,
-)
+from .transitions import process_end_element, process_start_element
 
-_DESCENDANT = Axis.DESCENDANT
-_CHILD = Axis.CHILD
-
-
-def fused_pure_evaluate(
-    machine: TwigMachine,
-    document: str,
-    statistics: Optional[EngineStatistics],
-    collector: ResultCollector,
-    eager_emission: bool,
-) -> Optional[int]:
-    """Evaluate over a complete document string; return the element count.
-
-    Returns ``None`` when the document cannot be handled by the fast
-    patterns (malformed markup, truncated constructs, exotic declarations).
-    The caller must then reset the machine/collector and replay through the
-    general event pipeline, which either succeeds (constructs the fast path
-    skipped) or raises the canonical :class:`XMLSyntaxError`.
-    """
-    try:
-        return _fused_pure_scan(
-            machine, document, statistics, collector, eager_emission
-        )
-    except XMLSyntaxError:
-        # Entity/attribute errors raised mid-scan: let the event pipeline
-        # re-derive the canonical error message and line number.
-        return None
+#: What the pure scan saw of the stream: ``(elements, attributes, max_depth,
+#: text_runs, misc_events)`` — text runs coalesced the way the event
+#: pipeline emits ``Characters``, misc events = comments + processing
+#: instructions.
+StreamShape = Tuple[int, int, int, int, int]
 
 
 def _scan_misc(doc: str, lt: int) -> Optional[Tuple[int, bool, Optional[str]]]:
@@ -129,303 +101,6 @@ def _append_text(text_nodes, text: str, level: int) -> None:
                 entry.string_parts.append(text)
             if entry.direct_parts is not None and level == entry.level:
                 entry.direct_parts.append(text)
-
-
-def _fused_pure_scan(
-    machine: TwigMachine,
-    doc: str,
-    statistics: Optional[EngineStatistics],
-    collector: ResultCollector,
-    eager: bool,
-) -> Optional[int]:
-    n = len(doc)
-    find = doc.find
-    count = doc.count
-    startswith = doc.startswith
-    start_match = _START_TAG_RE.match
-    end_match = _END_TAG_RE.match
-    nodes_matching = machine.nodes_matching
-    nodes_matching_postorder = machine.nodes_matching_postorder
-    text_nodes = machine.text_nodes
-    need_text = bool(text_nodes)
-    has_entities = "&" in doc
-    # Per-call tag memo: raw start tag -> (name, attributes, empty, matching
-    # nodes, literal end tag, matching nodes in post-order).
-    memo: dict = {}
-    memo_get = memo.get
-
-    # One memo entry per open element (built on a miss even when it cannot
-    # be stored), so the end tag's spelling and node list need no lookup.
-    open_tags: List[tuple] = []
-    order = 0
-    index = 0
-    # Line numbers are lazy: ``line`` is exact for ``doc[:line_pos]`` and is
-    # only brought forward when a NodeRef is built.
-    line = 1
-    line_pos = 0
-    root_closed = False
-    # What the stream looks like is counted in locals and written to
-    # ``statistics`` once at the end (a bailed scan's statistics are thrown
-    # away by the caller).  ``text_flushes`` emulates the event pipeline's
-    # text coalescing: one Characters event per run of text flushed by a
-    # structural event, comment or processing instruction.
-    pending_text = False
-    text_flushes = 0
-    misc_events = 0  # comments + processing instructions
-    attribute_count = 0
-    max_depth = 0
-
-    while index < n:
-        lt = find("<", index)
-        if lt == -1:
-            if doc[index:].strip():
-                return None  # trailing content / unclosed element -> replay
-            break
-        if lt > index:
-            if open_tags:
-                if need_text:
-                    text = doc[index:lt]
-                    if "&" in text:
-                        text = decode_entities(text)
-                    _append_text(text_nodes, text, len(open_tags))
-                # Text content is irrelevant to this query; validate entity
-                # references without materialising the slice unless one is
-                # present.
-                elif has_entities and find("&", index, lt) != -1:
-                    decode_entities(doc[index:lt])
-                pending_text = True
-            elif doc[index:lt].strip():
-                return None  # character data outside the root element
-        second = doc[lt + 1] if lt + 1 < n else ""
-        if second == "/":
-            if not open_tags:
-                return None  # stray end tag -> replay for exact error
-            name, _, _, _, closer, matching = open_tags.pop()
-            if startswith(closer, lt):
-                end = lt + len(closer)
-            else:
-                # ``</b >`` spellings; a mismatch replays for the exact error.
-                match = end_match(doc, lt)
-                if match is None or match.group(1) != name:
-                    return None
-                end = match.end()
-            if pending_text:
-                pending_text = False
-                text_flushes += 1
-            level = len(open_tags) + 1
-            if level == 1:
-                root_closed = True
-            # ---- inline end-element transition (mirrors transitions.py) ----
-            popped = False
-            for machine_node in matching:
-                entries = machine_node.stack.entries
-                if not entries or entries[-1].level != level:
-                    continue
-                entry = entries.pop()
-                popped = True
-                if statistics is not None:
-                    statistics.pops += 1
-                    statistics.live_entries -= 1
-                    if entry.candidates:
-                        statistics.live_candidates -= len(entry.candidates)
-                if not machine_node.is_unconditional:
-                    query_node = machine_node.query_node
-                    parts = entry.string_parts
-                    string_value = "".join(parts) if parts is not None else None
-                    if query_node.value_test is not None and not query_node.value_test.evaluate(string_value):
-                        continue
-                    if not evaluate_formula(query_node.formula, entry.satisfied, string_value):
-                        continue
-                if machine_node.is_output:
-                    before = len(entry.candidates)
-                    solution = Solution(kind=SolutionKind.ELEMENT, node=entry.element)
-                    entry.candidates.setdefault(solution.key(), solution)
-                    if statistics is not None and len(entry.candidates) > before:
-                        statistics.candidates_created += 1
-                if machine_node.text_output is not None:
-                    direct = entry.direct_text() or ""
-                    if direct:
-                        before = len(entry.candidates)
-                        solution = Solution(
-                            kind=SolutionKind.TEXT, node=entry.element, value=direct
-                        )
-                        entry.candidates.setdefault(solution.key(), solution)
-                        if statistics is not None and len(entry.candidates) > before:
-                            statistics.candidates_created += 1
-                if machine_node.parent is None or (
-                    eager
-                    and not machine_node.is_predicate_branch
-                    and machine_node.ancestors_unconditional
-                ):
-                    if statistics is not None:
-                        statistics.solutions_emitted += len(entry.candidates)
-                    for solution in entry.candidates.values():
-                        if collector.add(solution) and statistics is not None:
-                            statistics.solutions_distinct += 1
-                    continue
-                parent_entries = machine_node.parent.stack.entries
-                if machine_node.axis is _DESCENDANT:
-                    targets = [t for t in parent_entries if t.level < level]
-                else:
-                    parent_level = level - 1
-                    targets = [t for t in parent_entries if t.level == parent_level]
-                if machine_node.is_predicate_branch:
-                    node_id = machine_node.query_node.node_id
-                    for target in targets:
-                        if node_id not in target.satisfied:
-                            target.satisfied.add(node_id)
-                            if statistics is not None:
-                                statistics.flags_set += 1
-                else:
-                    for target in targets:
-                        added = target.absorb_candidates(entry)
-                        if statistics is not None:
-                            statistics.candidates_propagated += added
-                            statistics.live_candidates += added
-            if popped and statistics is not None:
-                live_candidates = statistics.live_candidates
-                if live_candidates > statistics.peak_candidate_count:
-                    statistics.peak_candidate_count = live_candidates
-            # ---------------------------------------------------------------
-            index = end
-            continue
-        elif second not in ("!", "?", ""):
-            gt = find(">", lt, lt + _TAG_MEMO_KEY_CAP)
-            hit = memo_get(doc[lt:gt + 1])
-            if hit is not None:
-                end = gt + 1
-            else:
-                match = start_match(doc, lt)
-                if match is None:
-                    return None
-                name, raw_attributes, empty = match.group(1, 2, 3)
-                end = match.end()
-                # Duplicate attributes / bad entity references raise
-                # XMLSyntaxError, which the fused_pure_evaluate wrapper
-                # converts into an event-pipeline replay — on every
-                # occurrence, because such a tag is never memoised.
-                hit = (
-                    name,
-                    parse_attribute_string(raw_attributes, name, None)
-                    if raw_attributes else (),
-                    empty,
-                    nodes_matching(name),
-                    f"</{name}>",
-                    nodes_matching_postorder(name),
-                )
-                memoise_start_tag(memo, doc, lt, gt, end, hit)
-            if root_closed:
-                return None  # second root element -> replay for exact error
-            if pending_text:
-                pending_text = False
-                text_flushes += 1
-            open_tags.append(hit)
-            level = len(open_tags)
-            name, attributes, empty, matching, _, _ = hit
-            if attributes:
-                attribute_count += len(attributes)
-            if level > max_depth:
-                max_depth = level
-            # ---- inline start-element transition (mirrors transitions.py) ----
-            if matching:
-                node_ref = None
-                pushed = False
-                for machine_node in matching:
-                    parent = machine_node.parent
-                    if parent is None:
-                        if machine_node.axis is not _DESCENDANT and level != 1:
-                            continue
-                    else:
-                        parent_entries = parent.stack.entries
-                        if machine_node.axis is _CHILD:
-                            target_level = level - 1
-                            open_at = False
-                            for open_entry in reversed(parent_entries):
-                                entry_level = open_entry.level
-                                if entry_level == target_level:
-                                    open_at = True
-                                    break
-                                if entry_level < target_level:
-                                    break
-                            if not open_at:
-                                continue
-                        elif not parent_entries or parent_entries[0].level >= level:
-                            continue
-                    if node_ref is None:
-                        line += count("\n", line_pos, end)
-                        line_pos = end
-                        node_ref = NodeRef(order, name, level, line)
-                    entry = acquire_entry(
-                        level,
-                        node_ref,
-                        [] if machine_node.needs_string_value else None,
-                        [] if machine_node.needs_direct_text else None,
-                    )
-                    attribute_work = (
-                        machine_node.attribute_predicates
-                        or machine_node.attribute_output is not None
-                    )
-                    if attribute_work:
-                        _resolve_attributes(machine_node, entry, attributes, statistics)
-                    machine_node.stack.entries.append(entry)
-                    pushed = True
-                    if statistics is not None:
-                        statistics.pushes += 1
-                        by_node = statistics.pushes_by_node
-                        label = machine_node.label
-                        by_node[label] = by_node.get(label, 0) + 1
-                        statistics.live_entries += 1
-                        if attribute_work:
-                            statistics.live_candidates += entry.candidate_count
-                if pushed and statistics is not None:
-                    live_entries = statistics.live_entries
-                    if live_entries > statistics.peak_stack_entries:
-                        statistics.peak_stack_entries = live_entries
-                    live_candidates = statistics.live_candidates
-                    if live_candidates > statistics.peak_candidate_count:
-                        statistics.peak_candidate_count = live_candidates
-            # -----------------------------------------------------------------
-            order += 1
-            if empty:
-                open_tags.pop()
-                if level == 1:
-                    root_closed = True
-                process_end_element(
-                    machine, name, level, statistics, collector,
-                    eager_emission=eager,
-                )
-            index = end
-            continue
-        # -------- uncommon constructs: comments, CDATA, PI, DOCTYPE --------
-        misc = _scan_misc(doc, lt)
-        if misc is None:
-            return None  # anything else: replay through the event pipeline
-        index, is_event, cdata = misc
-        if is_event:
-            if pending_text:
-                pending_text = False
-                text_flushes += 1
-            misc_events += 1
-        elif cdata:
-            if not open_tags:
-                if cdata.strip():
-                    return None  # CDATA outside the root element
-            else:
-                if need_text:
-                    _append_text(text_nodes, cdata, len(open_tags))
-                pending_text = True
-
-    if open_tags or not order:
-        return None  # unclosed element / no root -> replay for exact error
-    if statistics is not None:
-        statistics.elements += order
-        statistics.attributes += attribute_count
-        statistics.text_chunks += text_flushes
-        statistics.max_depth = max(statistics.max_depth, max_depth)
-        # StartDocument + EndDocument + one start and one end per element
-        # + coalesced text chunks + comments/PIs.
-        statistics.events += 2 + 2 * order + text_flushes + misc_events
-    return order
 
 
 class FusedExpatDriver:
@@ -568,31 +243,39 @@ class FusedExpatDriver:
 
 
 # ---------------------------------------------------------------------------
-# Fused multi-query drivers: one scan, label-dispatched machines
+# The pure scan: one bulk scan, label-dispatched runtimes
 # ---------------------------------------------------------------------------
 
 
-def fused_pure_multi_evaluate(index, document: str, deliveries: list) -> Optional[int]:
-    """Evaluate every indexed machine over one bulk scan of ``document``.
+def fused_pure_multi_evaluate(
+    index, document: str, deliveries: MutableSequence
+) -> Optional[StreamShape]:
+    """Evaluate every indexed runtime over one bulk scan of ``document``.
 
-    ``index`` is a :class:`~repro.core.queryindex.QueryIndex`; ``deliveries``
-    is an output list that receives ``(runtime, solutions)`` pairs in
-    emission order.  Deliveries are *buffered* rather than fanned out
-    immediately: when the scan bails out (returns ``None``) the caller
-    resets the machines and replays through the event pipeline, and
-    buffering guarantees no subscriber callback fires twice.
+    ``index`` is a :class:`~repro.core.queryindex.QueryIndex`, or anything
+    offering the members the scan reads (``dispatch``, ``text_runtimes``,
+    ``context``; runtimes with ``machine``, ``statistics``, ``collector``,
+    ``eager``, ``is_family``).  ``deliveries`` receives ``(runtime,
+    solutions)`` pairs in emission order.  Deliveries are *buffered* rather
+    than fanned out immediately: when the scan bails out (returns ``None``)
+    the caller resets the machines and replays through the event pipeline,
+    and buffering guarantees no subscriber callback fires twice.  A caller
+    with no subscribers to fan out to passes a sink that keeps nothing.
 
-    Returns the element count on success, or ``None`` when the document
-    needs the general pipeline (same bail-out conditions as
-    :func:`fused_pure_evaluate`).
+    Returns the :data:`StreamShape` on success, or ``None`` when the
+    document needs the general pipeline.
     """
     try:
         return _fused_pure_multi_scan(index, document, deliveries)
     except XMLSyntaxError:
+        # Entity/attribute errors raised mid-scan: let the event pipeline
+        # re-derive the canonical error message and line number.
         return None
 
 
-def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
+def _fused_pure_multi_scan(
+    index, doc: str, deliveries: MutableSequence
+) -> Optional[StreamShape]:
     n = len(doc)
     find = doc.find
     count = doc.count
@@ -613,25 +296,27 @@ def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
     # family runtimes resolve residual paths against it at emission time, so
     # it must reflect the chain of the element being closed — hence the pops
     # below happen after the end-element dispatch, not before.  ``open_tags``
-    # shadows it with the memo entries (see _fused_pure_scan).
+    # shadows it with one memo entry per open element (built on a miss even
+    # when it cannot be stored), so an end tag needs no lookup.
     open_elements = index.context
     del open_elements[:]
     open_tags: List[tuple] = []
     order = 0
     index_pos = 0
-    line = 1  # lazy, exact for doc[:line_pos] (see _fused_pure_scan)
+    # Line numbers are lazy: ``line`` is exact for ``doc[:line_pos]`` and is
+    # only brought forward when a start tag is dispatched.
+    line = 1
     line_pos = 0
     root_closed = False
+    # What the stream looks like is counted in locals.  ``text_runs``
+    # emulates the event pipeline's text coalescing: one Characters event
+    # per run of text flushed by a structural event, comment or processing
+    # instruction.
     pending_text = False
-
-    def flush_text() -> None:
-        # One coalesced Characters run ended: count it for the machines that
-        # actually receive character data (matching the indexed feed path,
-        # where only text-collecting machines are dispatched text events).
-        for runtime in text_runtimes:
-            statistics = runtime.statistics
-            if statistics is not None:
-                statistics.text_chunks += 1
+    text_runs = 0
+    misc_events = 0
+    attribute_count = 0
+    max_depth = 0
 
     def end_element(name: str, level: int, runtimes) -> None:
         for runtime in runtimes:
@@ -659,6 +344,9 @@ def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
                     level = len(open_elements)
                     for runtime in text_runtimes:
                         _append_text(runtime.machine.text_nodes, text, level)
+                # Text content is irrelevant to every runtime; validate
+                # entity references without materialising the slice unless
+                # one is present.
                 elif has_entities and find("&", index_pos, lt) != -1:
                     decode_entities(doc[index_pos:lt])
                 pending_text = True
@@ -679,7 +367,7 @@ def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
                 end = match.end()
             if pending_text:
                 pending_text = False
-                flush_text()
+                text_runs += 1
             if runtimes:
                 end_element(name, len(open_tags), runtimes)
             open_tags.pop()
@@ -699,8 +387,10 @@ def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
                     return None
                 name, raw_attributes, empty = match.group(1, 2, 3)
                 end = match.end()
-                # Raises XMLSyntaxError on duplicates / bad entities, which
-                # the wrapper converts into an event-pipeline replay.
+                # Duplicate attributes / bad entity references raise
+                # XMLSyntaxError, which the wrapper converts into an
+                # event-pipeline replay — on every occurrence, because such
+                # a tag is never memoised.
                 hit = (
                     name,
                     parse_attribute_string(raw_attributes, name, None)
@@ -714,14 +404,19 @@ def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
                 return None  # second root element -> replay for exact error
             if pending_text:
                 pending_text = False
-                flush_text()
+                text_runs += 1
             name, attributes, empty, runtimes, _ = hit
             open_tags.append(hit)
             open_elements.append(name)
             level = len(open_tags)
+            if attributes:
+                attribute_count += len(attributes)
+            if level > max_depth:
+                max_depth = level
             if runtimes:
-                line += count("\n", line_pos, end)
-                line_pos = end
+                # The line the tag begins on, as expat reports it.
+                line += count("\n", line_pos, lt)
+                line_pos = lt
                 for runtime in runtimes:
                     process_start_element(
                         runtime.machine, name, level, attributes, line,
@@ -744,7 +439,8 @@ def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
         if is_event:
             if pending_text:
                 pending_text = False
-                flush_text()
+                text_runs += 1
+            misc_events += 1
         elif cdata:
             if not open_elements:
                 if cdata.strip():
@@ -757,7 +453,13 @@ def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
 
     if open_elements or not order:
         return None  # unclosed element / no root -> replay for exact error
-    return order
+    # Every text run reached the text-collecting runtimes, and only them
+    # (the indexed feed path dispatches text events to those alone).
+    for runtime in text_runtimes:
+        statistics = runtime.statistics
+        if statistics is not None:
+            statistics.text_chunks += text_runs
+    return order, attribute_count, max_depth, text_runs, misc_events
 
 
 class FusedExpatMultiDriver:
@@ -1000,6 +702,5 @@ def _prime_noop(*args) -> None:
 __all__ = [
     "FusedExpatDriver",
     "FusedExpatMultiDriver",
-    "fused_pure_evaluate",
     "fused_pure_multi_evaluate",
 ]

@@ -761,11 +761,11 @@ class MultiQueryEvaluator:
                 and not StreamReader._looks_like_path(source)
             ):
                 deliveries: List[Tuple[QueryRuntime, List[Solution]]] = []
-                elements = fused_pure_multi_evaluate(self._index, source, deliveries)
-                if elements is not None:
+                shape = fused_pure_multi_evaluate(self._index, source, deliveries)
+                if shape is not None:
                     for runtime, solutions in deliveries:
                         runtime.deliver(solutions)
-                    self._mark_finished(elements)
+                    self._mark_finished(shape[0])
                     return self.results()
                 # Construct the fast scan could not handle (or a syntax
                 # error): reset the partial state and replay through the

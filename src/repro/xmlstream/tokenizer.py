@@ -77,7 +77,7 @@ _START_TAG_RE = re.compile(
 _END_TAG_RE = re.compile(r"</\s*(%s)\s*>" % _NAME_PATTERN)
 _ATTRIBUTE_RE = re.compile(r"(%s)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')" % _NAME_PATTERN)
 
-# Tag memo policy, shared by StreamTokenizer._scan and the fused scans in
+# Tag memo policy, shared by StreamTokenizer._scan and the fused scan in
 # core/fastpath.py.  Documents repeat a few dozen tag spellings, so a start
 # tag is probed by its raw text ``buffer[lt : first ">" + 1]`` (searched at
 # most _TAG_MEMO_KEY_CAP characters ahead, which also bounds the key) and a
@@ -572,7 +572,11 @@ class StreamTokenizer:
                     open_elements.append(name)
                     self._root_seen = True
                     level = len(open_elements)
-                    events.append(StartElement(position, name, level, attributes, line))
+                    # NodeRef.line is the line the tag begins on (as expat
+                    # reports it); errors above keep the line it ends on.
+                    events.append(
+                        StartElement(position, name, level, attributes, line - newlines)
+                    )
                     position += 1
                     if empty:
                         open_elements.pop()
@@ -694,12 +698,13 @@ class StreamTokenizer:
                 raise XMLSyntaxError("unterminated start tag", line=self._line)
             return None
         raw_tag = buffer[start + 1:end]
+        start_line = self._line
         self._count_lines(buffer[start:end + 1])
         empty = raw_tag.endswith("/")
         if empty:
             raw_tag = raw_tag[:-1]
         name, attributes = self._parse_tag_content(raw_tag)
-        self._handle_start_tag(name, attributes)
+        self._handle_start_tag(name, attributes, start_line)
         if empty:
             self._handle_end_tag(name)
         return end + 1
@@ -805,7 +810,10 @@ class StreamTokenizer:
             f"element '{name}' appears after the root element was closed", line=line
         )
 
-    def _handle_start_tag(self, name: str, attributes: Tuple[Tuple[str, str], ...]) -> None:
+    def _handle_start_tag(
+        self, name: str, attributes: Tuple[Tuple[str, str], ...], line: int
+    ) -> None:
+        """Emit a start tag that begins on ``line`` (``self._line`` is past it)."""
         if self._root_closed:
             raise self._second_root(name, self._line)
         self._flush_text()
@@ -817,7 +825,7 @@ class StreamTokenizer:
                 name=name,
                 level=len(self._open_elements),
                 attributes=attributes,
-                line=self._line,
+                line=line,
             )
         )
 

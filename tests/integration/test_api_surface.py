@@ -3,7 +3,9 @@
 Mirrors the CI ``api-surface`` job so the gate also runs under plain
 ``pytest``: ``tools/check_api_surface.py`` must report no drift against the
 committed ``api_surface.txt``, and every runnable python block in README.md
-must execute cleanly against the live package.
+must execute cleanly against the live package.  The ``lint`` job's
+``tools/check_single_kernel.py`` (no transition internals outside
+``core/transitions.py`` and ``core/stack.py``) runs here the same way.
 """
 
 from __future__ import annotations
@@ -65,3 +67,24 @@ class TestReadmeSnippets:
         assert "## Migrating from the pre-1.1 API" in readme
         assert "## API stability policy" in readme
         assert "DeprecationWarning" in readme
+
+
+class TestSingleKernel:
+    def test_no_module_inlines_the_transition_functions(self):
+        result = run_tool("check_single_kernel.py")
+        assert result.returncode == 0, result.stderr
+
+    def test_an_inlined_copy_is_reported(self, tmp_path):
+        core = tmp_path / "core"
+        core.mkdir()
+        (core / "stack.py").write_text("def acquire_entry(): pass\n")
+        (core / "fastpath.py").write_text(
+            "from .stack import acquire_entry\n"
+            "def scan(target, entry):\n"
+            "    target.absorb_candidates(entry)\n"
+        )
+        result = run_tool("check_single_kernel.py", str(tmp_path))
+        assert result.returncode == 1
+        assert "fastpath.py:1: acquire_entry" in result.stderr
+        assert "fastpath.py:3: absorb_candidates" in result.stderr
+        assert "stack.py:" not in result.stderr

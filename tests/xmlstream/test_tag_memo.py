@@ -1,9 +1,9 @@
 """Memoised tag recognition: same answers, same errors, bounded table.
 
-The three pure scan loops (``StreamTokenizer._scan``, ``_fused_pure_scan``,
-``_fused_pure_multi_scan``) recognise a start tag they have already validated
-by one dict probe on its raw text and an end tag by literal comparison with
-the open element.  These tests pin what that must not change — solutions
+The two pure scan loops (``StreamTokenizer._scan`` and the fused scan
+``_fused_pure_multi_scan``, which serves both engines) recognise a start tag
+they have already validated by one dict probe on its raw text and an end tag
+by literal comparison with the open element.  These tests pin what that must not change — solutions
 including ``NodeRef.line``, statistics, event lists at every chunk split,
 error messages and line numbers — and what it must deliver: a repeated tag
 costs no regex match, and the table is bounded.
@@ -11,14 +11,16 @@ costs no regex match, and the table is bounded.
 
 from __future__ import annotations
 
+import re
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import evaluate_with_dom
 from repro.core import fastpath
-from repro.core.engine import TwigMEvaluator
+from repro.core.engine import TwigMEvaluator, _OneEntryIndex
 from repro.core.multi import MultiQueryEvaluator
 from repro.errors import XMLSyntaxError
 from repro.xmlstream import tokenizer as tokenizer_module
@@ -43,6 +45,11 @@ DOCS = [
     '<a><b x="1>2">p</b>\n<b x="1>2">q</b>\n<b x="1>2"/></a>',
     "<a><bb>x</bb><b>y</b><bb/><b/>\n<b>&amp;&#65;</b><b y='&lt;'>z</b><b y='&lt;'>z</b></a>",
 ]
+
+#: expat normalises a line break inside an attribute value to a space (XML
+#: 1.0 §3.3.3) and the pure backend keeps it: a known divergence, so expat's
+#: attribute values are not compared on these documents.
+VALUE_BREAKS = [doc for doc in DOCS if re.search(r"=\s*['\"][^'\"]*\n", doc)]
 
 #: Malformed documents: the expected end tag is a prefix of the one found
 #: (or the reverse), a second root, trailing text, attributes the regex
@@ -73,6 +80,11 @@ def _fused_multi(query, doc):
     engine = MultiQueryEvaluator()
     engine.subscribe(query, name="q")
     return engine.evaluate(doc, parser="pure")["q"].solutions
+
+
+def _expat(query, doc):
+    evaluator = TwigMEvaluator(query)
+    return evaluator.evaluate(doc, parser="expat").solutions, evaluator.statistics
 
 
 def _staged(query, doc):
@@ -123,11 +135,11 @@ class _CountingPattern:
 class TestSameAnswers:
     @pytest.mark.parametrize("doc", DOCS)
     def test_the_fused_scan_takes_these_documents(self, doc):
-        evaluator = TwigMEvaluator("//b")
-        elements = fastpath.fused_pure_evaluate(
-            evaluator.machine, doc, evaluator.statistics, evaluator.collector, False
+        shape = fastpath.fused_pure_multi_evaluate(
+            _OneEntryIndex(TwigMEvaluator("//b")), doc, deque(maxlen=0)
         )
-        assert elements == sum(1 for e in tokenize(doc) if hasattr(e, "attributes"))
+        assert shape is not None
+        assert shape[0] == sum(1 for e in tokenize(doc) if hasattr(e, "attributes"))
 
     @pytest.mark.parametrize("doc", DOCS)
     @pytest.mark.parametrize("query", QUERIES)
@@ -135,11 +147,17 @@ class TestSameAnswers:
         oracle = evaluate_with_dom(query, doc).solutions
         staged, staged_statistics = _staged(query, doc)
         single, single_statistics = _fused_single(query, doc)
-        # Solution equality covers NodeRef.line.
+        expat, expat_statistics = _expat(query, doc)
+        # Solution equality covers NodeRef.line: the line a start tag
+        # begins on, whichever backend read it.
         assert staged == oracle
         assert single == oracle
+        assert [s.node for s in expat] == [s.node for s in oracle]
+        if doc not in VALUE_BREAKS:
+            assert expat == oracle
         assert _fused_multi(query, doc) == oracle
         assert single_statistics.as_dict() == staged_statistics.as_dict()
+        assert expat_statistics.as_dict() == staged_statistics.as_dict()
 
     @pytest.mark.parametrize("doc", MALFORMED)
     def test_errors_keep_message_and_line_on_every_occurrence(self, doc):
