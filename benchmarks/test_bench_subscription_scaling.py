@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines import evaluate_with_dom
 from repro.bench.runner import run_subscription_scaling
 from repro.bench.workloads import build_subscription_stream_document
 from repro.core.multi import MultiQueryEvaluator
@@ -33,10 +34,8 @@ def stream_document() -> str:
     )
 
 
-def _register(count: int, sharing: bool) -> MultiQueryEvaluator:
-    evaluator = MultiQueryEvaluator(
-        collect_statistics=False, containment_sharing=sharing
-    )
+def _register(count: int) -> MultiQueryEvaluator:
+    evaluator = MultiQueryEvaluator(collect_statistics=False)
     evaluator.subscribe_many(
         refinement_family_queries(count, families=FAMILIES)
     )
@@ -44,9 +43,8 @@ def _register(count: int, sharing: bool) -> MultiQueryEvaluator:
 
 
 @pytest.mark.benchmark(group="subscription-scaling")
-@pytest.mark.parametrize("sharing", [False, True], ids=["fingerprint", "containment"])
-def test_dispatch_under_standing_subscriptions(benchmark, stream_document, sharing):
-    evaluator = _register(2000, sharing)
+def test_dispatch_under_standing_subscriptions(benchmark, stream_document):
+    evaluator = _register(2000)
 
     def run():
         evaluator.reset()
@@ -57,22 +55,31 @@ def test_dispatch_under_standing_subscriptions(benchmark, stream_document, shari
     benchmark.extra_info["delivered"] = delivered
 
 
+def _oracle(queries, document):
+    """DOM-oracle result keys per distinct query."""
+    return {query: evaluate_with_dom(query, document).keys() for query in set(queries)}
+
+
 def test_containment_sharing_collapses_machines(stream_document):
-    """Acceptance: fewer machines and identical delivery vs fingerprint dedup."""
-    baseline = _register(2000, False)
-    shared = _register(2000, True)
-    assert shared.stats().machines < baseline.stats().machines
-    assert shared.stats().machines == FAMILIES  # one anchor per family
-    results_baseline = baseline.evaluate(stream_document, parser="pure")
-    results_shared = shared.evaluate(stream_document, parser="pure")
-    assert {name: r.keys() for name, r in results_shared.items()} == {
-        name: r.keys() for name, r in results_baseline.items()
-    }
+    """Acceptance: one anchor machine per family, answers from the oracle."""
+    evaluator = _register(2000)
+    stats = evaluator.stats()
+    assert stats.machines == stats.families == FAMILIES
+    results = evaluator.evaluate(stream_document, parser="pure")
+    oracle = _oracle([s.source for s in evaluator.subscriptions], stream_document)
+    for subscription in evaluator.subscriptions:
+        assert results[subscription.name].keys() == oracle[subscription.source]
 
 
 def test_quick_sweep_rows_are_parity_checked():
-    """The M4 runner's own cross-mode delivery-parity check must hold."""
-    rows = run_subscription_scaling(
+    """The M4 runner's row: one anchor per family, every family dispatched
+    alone, and the delivered pairs equal to the summed oracle answers."""
+    queries = refinement_family_queries(2000, families=FAMILIES)
+    document = build_subscription_stream_document(
+        hit_records=10, miss_records=200, families=FAMILIES, label_space=800, seed=9
+    )
+    oracle = _oracle(queries, document)
+    [row] = run_subscription_scaling(
         counts=(2000,),
         families=FAMILIES,
         hit_records=10,
@@ -80,7 +87,6 @@ def test_quick_sweep_rows_are_parity_checked():
         label_space=800,
         measure_memory=False,
     )
-    by_mode = {row["mode"]: row for row in rows}
-    assert by_mode["containment"]["machines"] < by_mode["fingerprint"]["machines"]
-    assert by_mode["containment"]["solutions"] == by_mode["fingerprint"]["solutions"]
-    assert by_mode["containment"]["peak_fanout"] <= by_mode["fingerprint"]["peak_fanout"]
+    assert row["machines"] == row["families"] == FAMILIES
+    assert row["peak_fanout"] == 1
+    assert row["solutions"] == sum(len(oracle[query]) for query in queries) > 0

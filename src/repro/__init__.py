@@ -68,7 +68,7 @@ from .service.client import ServiceClient, ServiceError
 from .xpath.normalize import compile_query
 from .xpath.parser import parse_xpath
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "CheckpointError",

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Tuple
+from typing import ClassVar, Optional, Tuple
 
+from ..core.multi import warn_containment_sharing
 from ..xmlstream.reader import DEFAULT_CHUNK_SIZE
 from ..xmlstream.sax import PARSER_BACKENDS
 
@@ -33,21 +34,18 @@ EngineStatistics` counters are not maintained (a measurable saving on the
         prefix to be able to rebuild its parser on restore; pass False to
         opt out of that memory cost.
     containment_sharing:
-        Opt-in machine sharing across *containment* families: linear
-        predicate-free path queries selecting the same output label run on
-        one shared anchor machine plus per-subscriber residual checks
-        (:mod:`repro.xpath.containment`), collapsing a refinement family of
-        N machines to 1.  Per-subscription result sets, solution sets and
-        ``delivered`` counts are identical; matches are delivered earlier
-        (at the output element's end tag), so the exact interleaving of the
-        match stream across subscriptions can differ from the default.
+        Deprecated no-op, kept until 2.0.  Containment sharing is how the
+        engine always runs since 1.5: linear predicate-free path queries
+        selecting the same output label share one anchor machine plus
+        per-shape residual checks (:mod:`repro.xpath.containment`).  Passing
+        any value raises a :class:`DeprecationWarning`; nothing reads it.
     """
 
     parser: str = "native"
     collect_statistics: bool = True
     chunk_size: int = DEFAULT_CHUNK_SIZE
     resumable: bool = True
-    containment_sharing: bool = False
+    containment_sharing: Optional[bool] = None
 
     #: The valid ``parser`` spellings, shared with the CLI ``--parser`` flag.
     PARSERS: ClassVar[Tuple[str, ...]] = PARSER_BACKENDS
@@ -60,6 +58,8 @@ EngineStatistics` counters are not maintained (a measurable saving on the
             )
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
+        if self.containment_sharing is not None:
+            warn_containment_sharing(stacklevel=3)
 
 
 __all__ = ["EngineConfig"]

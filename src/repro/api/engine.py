@@ -9,7 +9,7 @@ verb set:
   the facade adds no per-event cost;
 * ``MultiQueryEvaluator`` (indexed subscriptions) — :class:`Engine` wraps
   one (see :attr:`Engine.core`) and inherits its sharing machinery: shared
-  compilation, shared machines, label dispatch.
+  compilation, shared machines, containment families, label dispatch.
 
 Delivery is uniform: sessions, :meth:`Engine.stream` and subscription
 callbacks all speak :class:`~repro.core.results.Match`.
@@ -66,10 +66,7 @@ class Engine:
         if overrides:
             base = dataclasses.replace(base, **overrides)
         self._config = base
-        self._engine = MultiQueryEvaluator(
-            collect_statistics=base.collect_statistics,
-            containment_sharing=base.containment_sharing,
-        )
+        self._engine = MultiQueryEvaluator(collect_statistics=base.collect_statistics)
 
     # ------------------------------------------------------------ properties
 

@@ -77,13 +77,13 @@ METRIC_SPECS: Dict[str, Dict[str, Tuple[str, ...]]] = {
         "relative": ("speedup",),
         "absolute": ("elements_per_s",),
     },
-    # subscriptions (M4) gates both halves of the index story per
-    # (mode, count) row: registration throughput (trie interning + pooled
-    # runtime records) and standing-index event throughput (per-tag
-    # memoized dispatch).  Machine counts and solutions are structural, not
-    # timing, so workload drift on them fails loudly via the guard.
+    # subscriptions (M4) gates both halves of the index story per count
+    # row: registration throughput (trie interning + pooled runtime
+    # records) and standing-index event throughput (per-tag memoized
+    # dispatch).  Machine counts and solutions are structural, not timing,
+    # so workload drift on them fails loudly via the guard.
     "subscriptions": {
-        "key": ("mode", "subscriptions"),
+        "key": ("subscriptions",),
         "guard": ("families", "records", "machines", "solutions"),
         "relative": (),
         "absolute": ("registrations_per_s", "events_per_s"),

@@ -734,10 +734,8 @@ def run_subscription_scaling(
 
     For each count the refinement-family workload
     (:func:`~repro.xpath.generator.refinement_family_queries`: ``families``
-    containment families × 5 linear refinement shapes) is registered twice —
-    ``mode="fingerprint"`` (dedup only, the v1.3.0 sharing baseline) and
-    ``mode="containment"`` (``containment_sharing=True``) — and each pass
-    reports:
+    containment families × 5 linear refinement shapes) is registered once —
+    each family rides one anchor machine — and the row reports:
 
     * **registration rate** — one :meth:`~repro.core.multi.\
 MultiQueryEvaluator.subscribe_many` batch, wall-clocked;
@@ -746,13 +744,12 @@ MultiQueryEvaluator.subscribe_many` batch, wall-clocked;
     * **per-event dispatch cost** — streaming the miss-heavy M4 document
       (:func:`~repro.bench.workloads.build_subscription_stream_document`)
       through the standing index.  Misses dominate by construction, so the
-      column measures the index lookup itself: the fingerprint baseline
-      dispatches every ``<r>`` to all machines whose label profile contains
-      ``r``, the containment anchors skip the record scaffolding entirely.
+      column measures the index lookup itself: the family anchors skip the
+      record scaffolding entirely.
 
-    Both modes must deliver the same number of solution pairs (checked);
     ``machines``/``trie_nodes``/``peak_fanout`` come from
-    :meth:`~repro.core.multi.MultiQueryEvaluator.stats`.
+    :meth:`~repro.core.multi.MultiQueryEvaluator.stats`; ``solutions`` is a
+    structural guard column for ``vitex bench compare``.
     """
     import tracemalloc
 
@@ -771,62 +768,44 @@ MultiQueryEvaluator.subscribe_many` batch, wall-clocked;
     rows: List[Dict[str, object]] = []
     for count in counts:
         queries = refinement_family_queries(count, families)
-        delivered_by_mode: Dict[str, int] = {}
-        for mode, sharing in (("fingerprint", False), ("containment", True)):
-            evaluator = MultiQueryEvaluator(
-                collect_statistics=False, containment_sharing=sharing
-            )
-            start = time.perf_counter()
-            evaluator.subscribe_many(queries)
-            register_seconds = time.perf_counter() - start
+        evaluator = MultiQueryEvaluator(collect_statistics=False)
+        start = time.perf_counter()
+        evaluator.subscribe_many(queries)
+        register_seconds = time.perf_counter() - start
 
-            delivered = 0
-            start = time.perf_counter()
-            for _ in evaluator.stream(document, parser=parser):
-                delivered += 1
-            dispatch_seconds = time.perf_counter() - start
-            delivered_by_mode[mode] = delivered
-            # After the stream so peak_fanout reflects materialized dispatch.
-            stats = evaluator.stats()
-            evaluator.close()
+        delivered = 0
+        start = time.perf_counter()
+        for _ in evaluator.stream(document, parser=parser):
+            delivered += 1
+        dispatch_seconds = time.perf_counter() - start
+        # After the stream so peak_fanout reflects materialized dispatch.
+        stats = evaluator.stats()
+        evaluator.close()
 
-            row: Dict[str, object] = {
-                "mode": mode,
-                "subscriptions": count,
-                "families": stats.families,
-                "machines": stats.machines,
-                "trie_nodes": stats.trie_nodes,
-                "peak_fanout": stats.peak_dispatch_fanout,
-                "records": records,
-                "register_s": round(register_seconds, 4),
-                "registrations_per_s": round(
-                    count / max(register_seconds, 1e-9), 1
-                ),
-                "dispatch_s": round(dispatch_seconds, 4),
-                "events_per_s": round(elements / max(dispatch_seconds, 1e-9), 1),
-                "dispatch_us_per_event": round(
-                    dispatch_seconds * 1e6 / elements, 3
-                ),
-                "solutions": delivered,
-            }
-            if measure_memory:
-                tracemalloc.start()
-                traced = MultiQueryEvaluator(
-                    collect_statistics=False, containment_sharing=sharing
-                )
-                base_bytes = tracemalloc.get_traced_memory()[0]
-                traced.subscribe_many(queries)
-                used = tracemalloc.get_traced_memory()[0] - base_bytes
-                tracemalloc.stop()
-                traced.close()
-                row["bytes_per_subscription"] = round(used / count, 1)
-            rows.append(row)
-        if delivered_by_mode["fingerprint"] != delivered_by_mode["containment"]:
-            raise BenchmarkError(
-                f"containment sharing changed delivery at {count} "
-                f"subscriptions: fingerprint={delivered_by_mode['fingerprint']} "
-                f"containment={delivered_by_mode['containment']}"
-            )
+        row: Dict[str, object] = {
+            "subscriptions": count,
+            "families": stats.families,
+            "machines": stats.machines,
+            "trie_nodes": stats.trie_nodes,
+            "peak_fanout": stats.peak_dispatch_fanout,
+            "records": records,
+            "register_s": round(register_seconds, 4),
+            "registrations_per_s": round(count / max(register_seconds, 1e-9), 1),
+            "dispatch_s": round(dispatch_seconds, 4),
+            "events_per_s": round(elements / max(dispatch_seconds, 1e-9), 1),
+            "dispatch_us_per_event": round(dispatch_seconds * 1e6 / elements, 3),
+            "solutions": delivered,
+        }
+        if measure_memory:
+            tracemalloc.start()
+            traced = MultiQueryEvaluator(collect_statistics=False)
+            base_bytes = tracemalloc.get_traced_memory()[0]
+            traced.subscribe_many(queries)
+            used = tracemalloc.get_traced_memory()[0] - base_bytes
+            tracemalloc.stop()
+            traced.close()
+            row["bytes_per_subscription"] = round(used / count, 1)
+        rows.append(row)
     return rows
 
 

@@ -227,9 +227,10 @@ def multiquery_mix(kind: str, count: int, label_count: int = 200) -> List[str]:
     * ``disjoint`` — query *i* touches only its own record tags
       (``//s{i}/v{i}``): the best case for label dispatch, every machine's
       label set is private.
-    * ``overlapping`` — every query anchors on the shared record wrapper
-      (``//r/s{i}``): each ``<r>`` tag dispatches to *all* machines, the
-      adversarial case where per-event cost degrades towards O(queries).
+    * ``overlapping`` — every query steps through the shared record
+      wrapper (``//r/s{i}``); the queries are linear and predicate-free, so
+      each rides its ``//s{i}`` family anchor and ``<r>`` reaches no
+      machine.
     * ``duplicate`` — ``count`` registrations of one identical query:
       exercises fingerprint dedup (one shared machine regardless of count).
     """
@@ -264,11 +265,9 @@ def build_subscription_stream_document(
     labels belong to a registered containment family) and *misses*
     (``families <= i < label_space``: labels no registered query mentions).
     Misses dominate by construction: they isolate the per-event cost of the
-    dispatch index itself, where the fingerprint-dedup baseline still pays
-    for every machine whose label profile contains the shared ``r``
-    wrapper, while the prefix-trie anchors (``//v{f}``) ignore the record
-    scaffolding entirely.  The few hit records keep a delivery-parity
-    signal (both modes must deliver identical pair counts).
+    dispatch index itself, where the family anchors (``//v{f}``) ignore the
+    record scaffolding entirely.  The few hit records keep a delivery
+    signal (the ``solutions`` guard column of the sweep).
     """
     rng = random.Random(seed)
     randrange = rng.randrange

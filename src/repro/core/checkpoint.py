@@ -40,7 +40,12 @@ from ..errors import CheckpointError
 from .builder import shared_compiled_cache, shared_planner
 from .engine import TwigMEvaluator
 from .queryindex import FamilyRuntime, QueryRuntime, trie_path
-from .results import ResultCollector, solution_from_payload, solution_to_payload
+from .results import (
+    MemberCollector,
+    ResultCollector,
+    solution_from_payload,
+    solution_to_payload,
+)
 from .statistics import EngineStatistics
 
 #: Format marker carried by every snapshot.
@@ -94,8 +99,8 @@ def statistics_from_state(state: Dict[str, Any]) -> EngineStatistics:
     return statistics
 
 
-def collector_state(collector: ResultCollector) -> Dict[str, Any]:
-    """JSON-able state of a :class:`ResultCollector` (insertion order kept)."""
+def collector_state(collector: Union[ResultCollector, MemberCollector]) -> Dict[str, Any]:
+    """JSON-able state of either collector kind (insertion order kept)."""
     return {
         "emitted": collector.emitted,
         "solutions": [
@@ -104,13 +109,13 @@ def collector_state(collector: ResultCollector) -> Dict[str, Any]:
     }
 
 
-def collector_from_state(state: Dict[str, Any]) -> ResultCollector:
-    """Rebuild a :class:`ResultCollector` from :func:`collector_state`."""
-    collector = ResultCollector()
+def collector_from_state(
+    state: Dict[str, Any], collector: Union[ResultCollector, MemberCollector]
+) -> None:
+    """Fill an empty ``collector`` from :func:`collector_state` output."""
     for payload in state.get("solutions", ()):
         collector.add(solution_from_payload(payload))
     collector.emitted = state.get("emitted", len(collector))
-    return collector
 
 
 def encode_spool(segments: List[Union[str, bytes]]) -> List[List[str]]:
@@ -180,7 +185,7 @@ def restore_evaluator(evaluator: TwigMEvaluator, state: Dict[str, Any]) -> None:
         evaluator.machine.restore_stacks(state["stacks"])
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc
-    evaluator.collector = collector_from_state(state["collector"])
+    collector_from_state(state["collector"], evaluator.collector)
     statistics = state.get("statistics")
     if statistics is not None:
         evaluator.statistics = statistics_from_state(statistics)
@@ -308,7 +313,7 @@ def restore_engine_into(engine, state: Dict[str, Any]) -> None:
                         group_compiled, plan.steps, trie_path(group_compiled.tree)
                     )
                     engine._index.add_path(group.trie)
-                    group.collector = collector_from_state(group_item["collector"])
+                    collector_from_state(group_item["collector"], group.collector)
                 continue
             runtime = QueryRuntime(compiled, evaluator)
             engine._index.add(runtime)

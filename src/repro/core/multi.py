@@ -21,14 +21,11 @@ dozen subscriptions, should not even *dispatch* every event to every query.
    :class:`~repro.core.builder.SharingPlanner` over
    :mod:`repro.xpath.containment`).  Queries outside the provably-safe
    fragment — predicates, value tests, attribute/text output — keep
-   fingerprint-shared machines.  Containment sharing is *opt-in*
-   (``containment_sharing=True``): per-subscription delivered solution
-   sets, ``delivered`` counters and :meth:`results` are identical either
-   way, but delivery *timing* moves earlier (the anchor emits at the
-   output element's own end tag, a private non-eager machine at the
-   outermost step's), so the exact interleaving of the ``(name,
-   solution)`` stream across subscriptions can differ — the default
-   preserves the historical stream byte for byte.
+   fingerprint-shared machines.  Every eligible subscription that joins at
+   stream start rides its family; each member keeps a list of references
+   to the anchor's already-deduplicated solutions, never a second keyed
+   copy.  (The ``containment_sharing`` keyword of 1.4 is a deprecated
+   no-op.)
 4. **Trie dispatch** — a :class:`~repro.core.queryindex.QueryIndex` interns
    every registration path into a prefix trie and memoizes the interest set
    per element tag, so a start/end event touches only interested machines
@@ -38,6 +35,16 @@ dozen subscriptions, should not even *dispatch* every event to every query.
 ``evaluate()`` additionally engages fused multi-query fast paths
 (:mod:`repro.core.fastpath`) that drive the dispatch index straight from the
 bulk scanner (pure) or expat callbacks, with no event objects at all.
+
+Delivery contract
+-----------------
+
+Order is guaranteed *per subscription*: each subscription receives its
+solutions in the same sequence from every source (event list, pure or
+expat one-shot, chunked sessions, event frames), each exactly once.  How
+the deliveries of *different* subscriptions interleave is not fixed — a
+family anchor emits at the output element's own end tag, a private
+non-eager machine at its outermost step's.
 
 Subscription lifecycle
 ----------------------
@@ -131,6 +138,17 @@ from .results import Match, ResultSet, Solution
 QueryLike = Union[str, QueryTree, Any]
 
 
+def warn_containment_sharing(stacklevel: int) -> None:
+    """Warn that the retired ``containment_sharing`` keyword does nothing
+    (``stacklevel`` counted from this helper's caller)."""
+    warnings.warn(
+        "containment_sharing is deprecated and ignored: containment sharing "
+        "is always on (removal of the keyword at 2.0)",
+        DeprecationWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
 @dataclass(slots=True)
 class Subscription:
     """One registered query inside a :class:`MultiQueryEvaluator`.
@@ -213,14 +231,15 @@ class MultiQueryEvaluator:
     def __init__(
         self,
         collect_statistics: bool = True,
-        containment_sharing: bool = False,
+        containment_sharing: Optional[bool] = None,
     ) -> None:
+        if containment_sharing is not None:
+            warn_containment_sharing(stacklevel=2)
         self._subscriptions: Dict[str, Subscription] = {}
         self._index = QueryIndex()
         self._by_fingerprint: Dict[str, QueryRuntime] = {}
         self._families: Dict[str, FamilyRuntime] = {}
         self._collect_statistics = collect_statistics
-        self._containment_sharing = containment_sharing
         self._auto_name_counter = 0
         #: Global element pre-order counter.  Machines under label dispatch
         #: see only a subset of start tags, so the engine owns the document
@@ -290,10 +309,9 @@ class MultiQueryEvaluator:
         # gates containment sharing: a family anchor machine is warm by
         # definition once the stream has started.
         share = not self._started
-        if share and self._containment_sharing:
-            plan = shared_planner.plan(compiled)
-            if plan is not None:
-                return self._subscribe_family(plan, compiled, source, name, callback)
+        plan = shared_planner.plan(compiled) if share else None
+        if plan is not None:
+            return self._subscribe_family(plan, compiled, source, name, callback)
         runtime = self._by_fingerprint.get(compiled.fingerprint) if share else None
         if runtime is None:
             try:

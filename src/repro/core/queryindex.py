@@ -55,7 +55,7 @@ from ..xpath.containment import ResidualStep, path_matches
 from .builder import CompiledQuery
 from .engine import TwigMEvaluator
 from .machine import TwigMachine
-from .results import Match, ResultCollector, Solution
+from .results import MemberCollector, Match, ResultCollector, Solution
 from .statistics import EngineStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (multi imports us)
@@ -219,7 +219,9 @@ class ResidualGroup:
     A pooled record: every subscriber of this shape shares the single steps
     tuple, collector and membership list — the per-subscription cost of the
     million-subscription axis is the :class:`~repro.core.multi.Subscription`
-    handle plus one list slot here.
+    handle plus one list slot here.  The collector is a
+    :class:`~repro.core.results.MemberCollector`: the anchor has already
+    deduplicated every solution, so the group keeps one reference per match.
     """
 
     __slots__ = ("compiled", "steps", "trie", "subscribers", "collector")
@@ -231,7 +233,7 @@ class ResidualGroup:
         self.steps = steps
         self.trie = trie
         self.subscribers: List["Subscription"] = []
-        self.collector = ResultCollector()
+        self.collector = MemberCollector()
 
     @property
     def fingerprint(self) -> str:
@@ -359,7 +361,7 @@ class FamilyRuntime:
         """Reset the anchor machine and every member collector."""
         self.evaluator.reset()
         for group in self.group_list:
-            group.collector = ResultCollector()
+            group.collector = MemberCollector()
         self.sync()
 
     # ------------------------------------------------------------ emission

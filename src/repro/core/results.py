@@ -149,6 +149,38 @@ class ResultCollector:
         return sorted(solution.key() for solution in self._solutions.values())
 
 
+class MemberCollector:
+    """The solutions of one containment-family member, one reference each.
+
+    A family's anchor machine deduplicates through its own
+    :class:`ResultCollector` before any member sees a solution, so a member
+    only records which of those already-unique solutions passed its residual
+    check: a list, not a second keyed copy of every match.
+    """
+
+    __slots__ = ("_solutions", "emitted")
+
+    def __init__(self) -> None:
+        self._solutions: List[Solution] = []
+        self.emitted = 0
+
+    def add(self, solution: Solution) -> None:
+        """Record a solution the anchor has already deduplicated."""
+        self.emitted += 1
+        self._solutions.append(solution)
+
+    def __len__(self) -> int:
+        return len(self._solutions)
+
+    def solutions(self) -> List[Solution]:
+        """Solutions in emission order."""
+        return list(self._solutions)
+
+    def in_document_order(self) -> List[Solution]:
+        """Solutions sorted by document order."""
+        return sorted(self._solutions, key=Solution.order_key)
+
+
 def solution_to_payload(solution: Solution) -> Dict[str, object]:
     """Flatten a :class:`Solution` into a JSON-able payload dict.
 

@@ -313,8 +313,7 @@ class StreamSession:
 def _reset_engine_after_abort(engine) -> None:
     """Tear live machine state back down after an aborted document."""
     for runtime in engine._index.runtimes:
-        runtime.evaluator.reset()
-        runtime.sync()
+        runtime.reset()  # family member collectors included
     engine._element_order = 0
     engine._started = False
     engine._finished = False

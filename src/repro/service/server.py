@@ -755,9 +755,12 @@ class ServiceServer:
         subscription = self._engine._subscriptions.get(name)
         if subscription is None:
             return False
+        # A family member's runtime is the shared anchor (``//c``); the
+        # member's own shape is its residual group's.
+        owner = subscription.group or subscription.runtime
         compiled = shared_compiled_cache.acquire(query)
         try:
-            return compiled.fingerprint == subscription.runtime.fingerprint
+            return compiled.fingerprint == owner.fingerprint
         finally:
             shared_compiled_cache.release(compiled)
 

@@ -13,13 +13,16 @@ The front speaks the unchanged client protocol; each worker
 :class:`~repro.core.multi.MultiQueryEvaluator`, so parsing and matching use
 as many cores as there are workers.
 
-**Sharding policy — by subscription, fingerprint-affine.**  Each
-``subscribe`` is routed to one worker.  Structurally identical queries
-(equal canonical fingerprints) are pinned to the same worker, preserving
-the engine's machine dedup across processes; a new fingerprint goes to the
-worker with the fewest distinct fingerprints (≈ fewest machines).  The
-front owns the subscription *namespace* (auto-naming, duplicate detection)
-because per-worker engines cannot see each other's names.
+**Sharding policy — by subscription, family-affine.**  Each ``subscribe``
+is routed to one worker by an *affinity key*: the anchor query (``//c``)
+when the sharing planner folds the query into a containment family, else
+its canonical fingerprint.  Every member shape of one family is pinned to
+the worker already running that family's anchor machine, and structurally
+identical queries to the worker running their machine, so the engine's
+sharing survives across processes; a new key goes to the worker with the
+fewest distinct keys (≈ fewest machines).  The front owns the subscription
+*namespace* (auto-naming, duplicate detection) because per-worker engines
+cannot see each other's names.
 
 **Feeds broadcast to every worker.**  Each worker consumes the whole
 document, so all workers share one document-global element pre-order and a
@@ -69,7 +72,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..core.builder import shared_compiled_cache
+from ..core.builder import shared_compiled_cache, shared_planner
 from ..core.checkpoint import (
     decode_spool,
     encode_spool,
@@ -396,11 +399,13 @@ class ShardedServiceServer(ServiceServer):
         #: Serializes writes that must hit every worker in the same order
         #: (feed/finish broadcasts, subscribes, snapshot gathers).
         self._pipeline_lock = asyncio.Lock()
-        # Routing state.  ``_shard_load`` counts distinct fingerprints per
-        # worker (≈ machines, thanks to engine dedup); ``_affinity`` maps a
-        # fingerprint to its pinned worker and refcount.
+        # Routing state.  ``_shard_load`` counts distinct affinity keys per
+        # worker (≈ machines, thanks to engine sharing); ``_affinity`` maps a
+        # key to its pinned worker and refcount.  ``_fingerprints`` (name →
+        # the query's own fingerprint) serves the re-attach check.
         self._routes: Dict[str, int] = {}
         self._fingerprints: Dict[str, str] = {}
+        self._affinity_keys: Dict[str, str] = {}
         self._affinity: Dict[str, List[int]] = {}
         self._shard_load: List[int] = []
         self._auto_name_counter = 0
@@ -568,17 +573,21 @@ class ShardedServiceServer(ServiceServer):
             raise EngineError(f"a subscription named {name!r} already exists")
         return name
 
-    def _fingerprint(self, query: str) -> str:
-        """Validate + fingerprint a query through the shared compiled cache
-        (raising exactly the errors the engine's own ``subscribe`` would)."""
+    def _route_key(self, query: str) -> Tuple[str, str]:
+        """Validate a query through the shared compiled cache (raising
+        exactly the errors the engine's own ``subscribe`` would); return
+        ``(fingerprint, affinity key)``.  Fingerprints never start with
+        ``/``, so an anchor-query key cannot collide with one."""
         compiled = shared_compiled_cache.acquire(query)
         try:
-            return compiled.fingerprint
+            plan = shared_planner.plan(compiled)
+            key = compiled.fingerprint if plan is None else plan.anchor_source
+            return compiled.fingerprint, key
         finally:
             shared_compiled_cache.release(compiled)
 
-    def _pick_worker(self, fingerprint: str) -> int:
-        pinned = self._affinity.get(fingerprint)
+    def _pick_worker(self, key: str) -> int:
+        pinned = self._affinity.get(key)
         if pinned is not None and self._workers[pinned[0]].alive:
             return pinned[0]
         candidates = [
@@ -590,28 +599,30 @@ class ShardedServiceServer(ServiceServer):
             raise ViteXError("no alive workers")
         return min(candidates)[1]
 
-    def _acquire_affinity(self, fingerprint: str, index: int) -> None:
-        pinned = self._affinity.get(fingerprint)
+    def _acquire_affinity(self, key: str, index: int) -> None:
+        pinned = self._affinity.get(key)
         if pinned is not None and pinned[0] == index:
             pinned[1] += 1
             return
-        self._affinity[fingerprint] = [index, 1]
+        self._affinity[key] = [index, 1]
         self._shard_load[index] += 1
 
-    def _release_affinity(self, fingerprint: str) -> None:
-        pinned = self._affinity.get(fingerprint)
+    def _release_affinity(self, key: str) -> None:
+        pinned = self._affinity.get(key)
         if pinned is None:
             return
         pinned[1] -= 1
         if pinned[1] <= 0:
-            del self._affinity[fingerprint]
+            del self._affinity[key]
             if 0 <= pinned[0] < len(self._shard_load):
                 self._shard_load[pinned[0]] -= 1
 
-    def _install_route(self, name: str, fingerprint: str, index: int) -> None:
+    def _install_route(self, name: str, route_key: Tuple[str, str], index: int) -> None:
+        fingerprint, key = route_key
         self._routes[name] = index
         self._fingerprints[name] = fingerprint
-        self._acquire_affinity(fingerprint, index)
+        self._affinity_keys[name] = key
+        self._acquire_affinity(key, index)
 
     def _remove_subscription(self, name: str) -> None:
         if name in self._front_replay:
@@ -627,9 +638,10 @@ class ShardedServiceServer(ServiceServer):
         if handle.connection is not None and name in handle.connection.names:
             handle.connection.names.remove(name)
         index = self._routes.pop(name, None)
-        fingerprint = self._fingerprints.pop(name, None)
-        if fingerprint is not None:
-            self._release_affinity(fingerprint)
+        self._fingerprints.pop(name, None)
+        key = self._affinity_keys.pop(name, None)
+        if key is not None:
+            self._release_affinity(key)
         if name in self._pending_local:
             self._pending_local.remove(name)
         if index is None or self._closed:
@@ -651,7 +663,7 @@ class ShardedServiceServer(ServiceServer):
                 "add_local_subscription must be called before start() on a "
                 "sharded server"
             )
-        fingerprint = self._fingerprint(query)
+        fingerprint, _ = self._route_key(query)
         name = self._assign_name(name)
         handle = _SubscriptionHandle(name, query, None, callback)
         self._subscriptions[name] = handle
@@ -662,10 +674,9 @@ class ShardedServiceServer(ServiceServer):
     async def _flush_pending_local(self) -> None:
         for name in list(self._pending_local):
             handle = self._subscriptions[name]
-            fingerprint = self._fingerprints[name]
-            index = self._pick_worker(fingerprint)
-            self._routes[name] = index
-            self._acquire_affinity(fingerprint, index)
+            route_key = self._route_key(handle.query)
+            index = self._pick_worker(route_key[1])
+            self._install_route(name, route_key, index)
             reply = await self._workers[index].call(
                 {"cmd": "subscribe", "query": handle.query, "name": name}
             )
@@ -679,7 +690,7 @@ class ShardedServiceServer(ServiceServer):
         fingerprint = self._fingerprints.get(name)
         if fingerprint is None:
             return False
-        return self._fingerprint(query) == fingerprint
+        return self._route_key(query)[0] == fingerprint
 
     # ------------------------------------------------------ frame handlers
 
@@ -696,15 +707,15 @@ class ShardedServiceServer(ServiceServer):
             if handle is not None and handle.detached:
                 self._reattach_subscription(connection, handle, query)
                 return
-        fingerprint = self._fingerprint(query)
+        route_key = self._route_key(query)
         name = self._assign_name(name)
-        index = self._pick_worker(fingerprint)
+        index = self._pick_worker(route_key[1])
         handle = _SubscriptionHandle(name, query, connection)
         # Reserve the name and route before the await: a concurrent
         # subscribe must see the name as taken.
         self._subscriptions[name] = handle
         connection.names.append(name)
-        self._install_route(name, fingerprint, index)
+        self._install_route(name, route_key, index)
         try:
             async with self._pipeline_lock:
                 future = self._workers[index].request(
@@ -751,14 +762,14 @@ class ShardedServiceServer(ServiceServer):
                             f"subscription {name!r} is detached; re-attach "
                             "it with a plain subscribe, not subscribe_batch"
                         )
-                fingerprint = self._fingerprint(query)
+                route_key = self._route_key(query)
                 assigned = self._assign_name(name)
-                index = self._pick_worker(fingerprint)
+                index = self._pick_worker(route_key[1])
                 self._subscriptions[assigned] = _SubscriptionHandle(
                     assigned, query, connection
                 )
                 connection.names.append(assigned)
-                self._install_route(assigned, fingerprint, index)
+                self._install_route(assigned, route_key, index)
                 registered.append((assigned, query, index))
             futures = []
             async with self._pipeline_lock:
@@ -1112,11 +1123,11 @@ class ShardedServiceServer(ServiceServer):
             if handle is None:
                 continue
             try:
-                fingerprint = self._fingerprint(handle.query)
-                index = self._pick_worker(fingerprint)
+                route_key = self._route_key(handle.query)
+                index = self._pick_worker(route_key[1])
             except ViteXError:
                 continue
-            self._install_route(name, fingerprint, index)
+            self._install_route(name, route_key, index)
             worker = self._workers[index]
             if worker.alive:
                 # Fire-and-forget, like _remove_subscription's unsubscribe.
@@ -1629,15 +1640,11 @@ class ShardedServiceServer(ServiceServer):
                 raise CheckpointError(reply.get("message", "worker restore failed"))
             any_open = any_open or bool(reply.get("mid_document"))
             for name in reply.get("subscriptions", []):
-                info = sub_meta.get(name, {})
-                query = info.get("query", "")
-                fingerprint = info.get("fingerprint") or (
-                    self._fingerprint(query) if query else ""
-                )
+                query = sub_meta.get(name, {}).get("query", "")
                 handle = _SubscriptionHandle(name, query, None)
                 self._subscriptions[name] = handle
-                if fingerprint:
-                    self._install_route(name, fingerprint, worker.index)
+                if query:
+                    self._install_route(name, self._route_key(query), worker.index)
                 else:  # pragma: no cover - meta always carries the query
                     self._routes[name] = worker.index
         self._doc_open = any_open
@@ -1651,11 +1658,11 @@ class ShardedServiceServer(ServiceServer):
                 raise CheckpointError(
                     f"checkpoint is missing the query for subscription {name!r}"
                 )
-            fingerprint = info.get("fingerprint") or self._fingerprint(query)
-            index = self._pick_worker(fingerprint)
+            route_key = self._route_key(query)
+            index = self._pick_worker(route_key[1])
             handle = _SubscriptionHandle(name, query, None)
             self._subscriptions[name] = handle
-            self._install_route(name, fingerprint, index)
+            self._install_route(name, route_key, index)
             reply = await self._workers[index].call(
                 {"cmd": "subscribe", "query": query, "name": name}
             )

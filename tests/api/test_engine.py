@@ -144,12 +144,22 @@ class TestBatchSubscriptions:
             assert [s.name for s in engine.subscriptions] == ["taken"]
 
     def test_batch_shares_machines_under_containment(self):
-        with Engine(containment_sharing=True) as engine:
+        with Engine() as engine:
             engine.subscribe_many(["//a//c", "//a/c", "//b/c", "/r//c"])
             stats = engine.stats()
             assert stats.subscriptions == 4
             assert stats.machines == 1
             assert stats.families == 1
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_containment_sharing_keyword_is_a_deprecated_no_op(self, value):
+        with pytest.warns(DeprecationWarning, match="always on"):
+            engine = Engine(containment_sharing=value)
+        with engine:
+            engine.subscribe_many(["//a//c", "//b/c"])
+            assert engine.stats().families == 1
+        with pytest.warns(DeprecationWarning, match="always on"):
+            EngineConfig(containment_sharing=value)
 
 
 class TestSessions:
@@ -197,15 +207,22 @@ class TestSnapshots:
         with Engine() as engine:
             engine.subscribe("//a//b", name="q")
             session = engine.open()
-            session.feed_text("<a><b>x</b>")
+            # ``//a//b`` rides the ``//b`` family anchor, which emits at
+            # ``</b>`` — before the snapshot is taken.
+            before = session.feed_text("<a><b>x</b>")
+            assert [match.name for match in before] == ["q"]
             snapshot = session.snapshot()
 
         restored_engine = Engine()
         restored_session = restored_engine.restore(snapshot)
         assert restored_session is not None
+        [subscription] = restored_engine.subscriptions
+        assert subscription.delivered == 1
         pairs = restored_session.feed_text("</a>")
         pairs += restored_session.finish()
-        assert [match.name for match in pairs] == ["q"]
+        assert pairs == []
+        assert len(restored_engine.results()["q"]) == 1
+        assert subscription.delivered == 1
         restored_engine.close()
 
     def test_engine_only_snapshot_restores_to_none(self):

@@ -7,8 +7,11 @@ the restore semantics piece by piece.
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
+from repro.baselines import evaluate_with_dom
 from repro.core.checkpoint import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
@@ -173,8 +176,10 @@ class TestRestoreSemantics:
 
     def test_restore_failure_leaves_engine_empty(self):
         _, snapshot = _snapshot_mid_document("pure")
-        # Corrupt one runtime's stack list so restore fails mid-way.
-        snapshot["engine"]["runtimes"][0]["evaluator"]["stacks"] = [[]]
+        # Give the last runtime one stack too many (every machine here has
+        # a single node) so restore fails after the family anchor and the
+        # runtimes before it were installed.
+        snapshot["engine"]["runtimes"][-1]["evaluator"]["stacks"] = [[], []]
         engine = MultiQueryEvaluator()
         with pytest.raises(CheckpointError):
             engine.restore_session(snapshot)
@@ -242,8 +247,12 @@ class TestRestoreSemantics:
             session = restored.session(parser="pure")
             pairs = session.feed_text("<feed><s1><v1>y</v1></s1></feed>")
             pairs += session.finish()
-            # b (//v1/text()) resolves at </v1>, a (//s1/v1) at </s1>.
-            assert [name for name, _ in pairs] == ["b", "a"]
+            # Per-subscription contract: each subscription's own sequence is
+            # fixed, the interleaving across subscriptions is not.
+            grouped = {}
+            for name, solution in pairs:
+                grouped.setdefault(name, []).append(solution.key())
+            assert grouped == {"a": [("element", 2)], "b": [("text", 2)]}
 
     def test_expat_resumable_false_refuses_snapshot(self):
         engine = _engine_with_queries()
@@ -264,3 +273,62 @@ class TestRestoreSemantics:
         with MultiQueryEvaluator() as restored:
             restored.restore_session(snapshot)
             assert restored.statistics() == before
+
+
+#: ``fixtures/{config}_1_4_{parser}.snapshot.json`` were written by vitex
+#: 1.4.0 as ``dumps_snapshot(session.snapshot())`` after an engine
+#: subscribed ``FIXTURE_QUERIES`` in order and
+#: ``engine.open(parser=parser).feed_text(FIXTURE_DOC[:FIXTURE_SPLIT])``.
+#: ``default_config`` is ``Engine()``, which in 1.4 ran a private machine per
+#: query shape (``//a//b`` included); ``sharing`` is
+#: ``Engine(containment_sharing=True)``, which is how every engine runs now.
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+FIXTURE_DOC = (
+    '<r><a><b>1</b><x><b>2</b></x></a><b>3</b>'
+    '<a id="k"><a><b>4</b><b>5</b></a><c>t</c></a><b>6</b></r>'
+)
+FIXTURE_SPLIT = FIXTURE_DOC.index("<b>5") + 3
+FIXTURE_QUERIES = (
+    ("deep", "//a//b"),
+    ("rooted", "/r/a//b"),
+    ("child", "//a/b"),
+    ("pred", "//a[c]//b"),
+    ("text", "//b/text()"),
+    ("attr", "//a/@id"),
+)
+
+
+class TestOlderSnapshots:
+    @pytest.mark.parametrize("parser", PARSERS)
+    def test_private_machine_snapshot_finishes_with_oracle_answers(self, parser):
+        data = (FIXTURES / f"default_config_1_4_{parser}.snapshot.json").read_bytes()
+        with MultiQueryEvaluator() as engine:
+            session = engine.restore_session(loads_snapshot(data))
+            # Restored as written: one private machine per shape, no family.
+            assert engine.stats().families == 0
+            assert dumps_snapshot(session.snapshot()) == data
+            session.feed_text(FIXTURE_DOC[FIXTURE_SPLIT:])
+            session.finish()
+            results = engine.results()
+            delivered = {s.name: s.delivered for s in engine.subscriptions}
+        for name, query in FIXTURE_QUERIES:
+            oracle = evaluate_with_dom(query, FIXTURE_DOC)
+            assert results[name].keys() == oracle.keys(), name
+            assert delivered[name] == len(oracle), name
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    def test_sharing_payload_is_byte_identical_to_1_4_opt_in(self, parser):
+        data = (FIXTURES / f"sharing_1_4_{parser}.snapshot.json").read_bytes()
+        with MultiQueryEvaluator() as engine:
+            for name, query in FIXTURE_QUERIES:
+                engine.subscribe(query, name=name)
+            session = engine.session(parser=parser)
+            session.feed_text(FIXTURE_DOC[:FIXTURE_SPLIT])
+            assert dumps_snapshot(session.snapshot()) == data
+        with MultiQueryEvaluator() as engine:
+            session = engine.restore_session(loads_snapshot(data))
+            session.feed_text(FIXTURE_DOC[FIXTURE_SPLIT:])
+            session.finish()
+            results = engine.results()
+        for name, query in FIXTURE_QUERIES:
+            assert results[name].keys() == evaluate_with_dom(query, FIXTURE_DOC).keys()

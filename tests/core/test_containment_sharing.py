@@ -1,11 +1,10 @@
 """Containment sharing: one anchor machine serving a refinement family.
 
-The contract under ``containment_sharing=True`` (see the
-:mod:`repro.core.multi` docstring): per-subscription solution *sets*,
-``delivered`` counters and :meth:`results` are identical to private
-machines; only the interleaving of the ``(name, solution)`` stream across
-subscriptions may differ, because a family anchor emits at the output
-element's own end tag.
+Every eligible subscription joining at stream start rides a family (see the
+:mod:`repro.core.multi` docstring).  Per-subscription solution sets,
+``delivered`` counters and :meth:`results` answer to the DOM oracle; only
+the interleaving of the ``(name, solution)`` stream across subscriptions is
+unfixed, because a family anchor emits at the output element's own end tag.
 """
 
 from __future__ import annotations
@@ -13,9 +12,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import evaluate_with_dom
 from repro.core.checkpoint import dumps_snapshot, loads_snapshot
 from repro.core.multi import MultiQueryEvaluator
-from repro.errors import EngineError, XPathSyntaxError
+from repro.core.results import MemberCollector
+from repro.errors import EngineError, XMLSyntaxError, XPathSyntaxError
 from repro.xmlstream.sax import iter_events
 
 #: A refinement family of ``//c``: every query is linear, predicate-free and
@@ -30,9 +31,9 @@ DOC = (
 )
 
 
-def _run(queries, document, sharing, parser="pure"):
+def _run(queries, document, parser="pure"):
     """Evaluate ``queries``; return (result keys, delivered) per name."""
-    with MultiQueryEvaluator(containment_sharing=sharing) as evaluator:
+    with MultiQueryEvaluator() as evaluator:
         subscriptions = [
             evaluator.subscribe(query, name=f"q{i}")
             for i, query in enumerate(queries)
@@ -43,40 +44,39 @@ def _run(queries, document, sharing, parser="pure"):
     return keys, delivered
 
 
+def _oracle(queries, document):
+    """The DOM oracle's (result keys, solution count) per name."""
+    keys = {
+        f"q{i}": evaluate_with_dom(query, document).keys()
+        for i, query in enumerate(queries)
+    }
+    return keys, {name: len(found) for name, found in keys.items()}
+
+
 class TestParity:
     @pytest.mark.parametrize("parser", ["pure", "expat"])
     def test_family_matches_private_machines(self, parser):
-        keys_on, delivered_on = _run(FAMILY_QUERIES, DOC, True, parser)
-        keys_off, delivered_off = _run(FAMILY_QUERIES, DOC, False, parser)
-        assert keys_on == keys_off
-        assert delivered_on == delivered_off
+        assert _run(FAMILY_QUERIES, DOC, parser) == _oracle(FAMILY_QUERIES, DOC)
 
     def test_event_pipeline_per_subscription_pair_sets_match(self):
-        streams = {}
-        for sharing in (True, False):
-            with MultiQueryEvaluator(containment_sharing=sharing) as evaluator:
-                for i, query in enumerate(FAMILY_QUERIES):
-                    evaluator.subscribe(query, name=f"q{i}")
-                pairs = list(evaluator.stream(list(iter_events(DOC))))
-            grouped = {}
-            for name, solution in pairs:
-                grouped.setdefault(name, []).append(solution.key())
-            streams[sharing] = {
-                name: sorted(keys) for name, keys in grouped.items()
-            }
-        assert streams[True] == streams[False]
+        with MultiQueryEvaluator() as evaluator:
+            for i, query in enumerate(FAMILY_QUERIES):
+                evaluator.subscribe(query, name=f"q{i}")
+            pairs = list(evaluator.stream(list(iter_events(DOC))))
+        grouped = {}
+        for name, solution in pairs:
+            grouped.setdefault(name, []).append(solution.key())
+        expected, _ = _oracle(FAMILY_QUERIES, DOC)
+        assert {name: sorted(keys) for name, keys in grouped.items()} == expected
 
     def test_mixed_family_and_private_queries(self):
         queries = FAMILY_QUERIES + ["//a[c]", "//c/text()", "//b"]
-        keys_on, delivered_on = _run(queries, DOC, True)
-        keys_off, delivered_off = _run(queries, DOC, False)
-        assert keys_on == keys_off
-        assert delivered_on == delivered_off
+        assert _run(queries, DOC) == _oracle(queries, DOC)
 
 
 class TestSharingStructure:
     def test_refinement_family_shares_one_anchor_machine(self):
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             for i, query in enumerate(FAMILY_QUERIES):
                 evaluator.subscribe(query, name=f"q{i}")
             stats = evaluator.stats()
@@ -85,17 +85,17 @@ class TestSharingStructure:
             assert stats.families == 1
             assert stats.containment_shared == len(FAMILY_QUERIES)
 
-    def test_sharing_off_keeps_one_machine_per_shape(self):
-        with MultiQueryEvaluator(containment_sharing=False) as evaluator:
+    @pytest.mark.parametrize("value", [True, False])
+    def test_retired_keyword_warns_and_changes_nothing(self, value):
+        with pytest.warns(DeprecationWarning, match="always on"):
+            evaluator = MultiQueryEvaluator(containment_sharing=value)
+        with evaluator:
             for i, query in enumerate(FAMILY_QUERIES):
                 evaluator.subscribe(query, name=f"q{i}")
-            stats = evaluator.stats()
-            assert stats.machines == len(FAMILY_QUERIES)
-            assert stats.families == 0
-            assert stats.containment_shared == 0
+            assert evaluator.stats().machines == 1
 
     def test_ineligible_queries_fall_back_to_fingerprint_machines(self):
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             evaluator.subscribe("//a//c", name="fam")
             evaluator.subscribe("//a[x]//c", name="pred")
             evaluator.subscribe("//a//c/@id", name="attr")
@@ -105,15 +105,28 @@ class TestSharingStructure:
             assert stats.containment_shared == 1
 
     def test_identical_members_pool_into_one_group(self):
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             one = evaluator.subscribe("//a//c", name="one")
             two = evaluator.subscribe("//a//c", name="two")
             assert one.runtime is two.runtime
             assert one.group is two.group
             assert one.group is not None
 
+    @pytest.mark.parametrize("parser", ["pure", "expat"])
+    def test_members_hold_references_to_the_anchor_solutions(self, parser):
+        with MultiQueryEvaluator() as evaluator:
+            one = evaluator.subscribe("//a//c", name="one")
+            two = evaluator.subscribe("/r//c", name="two")
+            evaluator.evaluate(DOC, parser=parser)
+            anchor = {s.key(): s for s in one.runtime.collector.solutions()}
+            for member in (one, two):
+                collector = member.group.collector
+                assert isinstance(collector, MemberCollector)
+                assert all(anchor[s.key()] is s for s in collector.solutions())
+            assert (len(one.group.collector), len(two.group.collector)) == (2, 4)
+
     def test_mid_stream_member_gets_private_machine(self):
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             evaluator.subscribe("//a//c", name="early")
             events = list(iter_events(DOC))
             for event in events[: len(events) // 2]:
@@ -127,7 +140,7 @@ class TestSharingStructure:
 
 class TestLifecycle:
     def test_unregister_member_keeps_anchor_for_siblings(self):
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             evaluator.subscribe("//a//c", name="one")
             evaluator.subscribe("//b/c", name="two")
             assert evaluator.stats().machines == 1
@@ -143,7 +156,7 @@ class TestLifecycle:
             assert stats.trie_nodes == 0
 
     def test_unregister_duplicate_member_keeps_group(self):
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             evaluator.subscribe("//a//c", name="one")
             kept = evaluator.subscribe("//a//c", name="two")
             evaluator.unregister("one")
@@ -154,7 +167,7 @@ class TestLifecycle:
 
     def test_paused_family_member_keeps_complete_results(self):
         seen = []
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             evaluator.subscribe("//a//c", name="one", callback=seen.append)
             evaluator.subscribe("/r//c", name="two")
             evaluator.pause("one")
@@ -167,8 +180,23 @@ class TestLifecycle:
             # The anchor kept running: pull-style results stay complete.
             assert len(evaluator.results()["one"]) == 2
 
+    @pytest.mark.parametrize("parser", ["pure", "expat"])
+    def test_aborted_document_leaves_no_member_solutions(self, parser):
+        with MultiQueryEvaluator() as evaluator:
+            evaluator.subscribe("//a//c", name="one")
+            session = evaluator.session(parser=parser)
+            assert len(session.feed_text("<r><a><c>1</c>")) == 1
+            with pytest.raises(XMLSyntaxError):
+                session.feed_text("<b></r>")
+            # The aborted document's match was delivered but is not an
+            # answer of the next document.
+            session = evaluator.session(parser=parser)
+            session.feed_text("<r><b/></r>")
+            session.finish()
+            assert len(evaluator.results()["one"]) == 0
+
     def test_reset_allows_second_stream(self):
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             evaluator.subscribe("//a//c", name="one")
             first = evaluator.evaluate(DOC)
             evaluator.reset()
@@ -179,7 +207,7 @@ class TestLifecycle:
 
 class TestSubscribeMany:
     def test_batch_registers_all_and_shares(self):
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             subscriptions = evaluator.subscribe_many(
                 [("//a//c", "one"), "//b/c", ("/r//c", "three")]
             )
@@ -188,13 +216,13 @@ class TestSubscribeMany:
 
     def test_batch_callback_applies_to_every_member(self):
         seen = []
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             evaluator.subscribe_many(["//a//c", "//b/c"], callback=seen.append)
             evaluator.evaluate(DOC)
             assert len(seen) == 4  # //a//c -> c1,c3 ; //b/c -> c2,c3
 
     def test_batch_rolls_back_on_duplicate_name(self):
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             evaluator.subscribe("//x/y", name="taken")
             with pytest.raises(EngineError):
                 evaluator.subscribe_many(
@@ -204,7 +232,7 @@ class TestSubscribeMany:
             assert evaluator.stats().machines == 1
 
     def test_batch_rolls_back_on_syntax_error(self):
-        with MultiQueryEvaluator(containment_sharing=True) as evaluator:
+        with MultiQueryEvaluator() as evaluator:
             with pytest.raises(XPathSyntaxError):
                 evaluator.subscribe_many(["//a//c", "//b/c", "///"])
             assert not evaluator.subscriptions
@@ -214,7 +242,7 @@ class TestSubscribeMany:
 
 class TestCheckpoint:
     def test_mid_stream_snapshot_roundtrips_family(self):
-        evaluator = MultiQueryEvaluator(containment_sharing=True)
+        evaluator = MultiQueryEvaluator()
         evaluator.subscribe("//a//c", name="one")
         evaluator.subscribe("//b/c", name="two")
         session = evaluator.session(parser="pure")
@@ -222,13 +250,13 @@ class TestCheckpoint:
         prefix_pairs = session.feed_text(DOC[:split])
         snapshot = session.snapshot()
 
-        fresh = MultiQueryEvaluator(containment_sharing=True)
+        fresh = MultiQueryEvaluator()
         restored = fresh.restore_session(loads_snapshot(dumps_snapshot(snapshot)))
         assert fresh.stats().machines == 1
         assert fresh.stats().families == 1
         suffix_pairs = restored.feed_text(DOC[split:]) + restored.finish()
 
-        with MultiQueryEvaluator(containment_sharing=True) as unbroken:
+        with MultiQueryEvaluator() as unbroken:
             unbroken.subscribe("//a//c", name="one")
             unbroken.subscribe("//b/c", name="two")
             expected = list(unbroken.stream(DOC, parser="pure"))
@@ -296,14 +324,11 @@ class TestPropertyParity:
     @settings(max_examples=30, deadline=None)
     @given(document=_documents(), queries=_linear_queries())
     def test_sharing_never_changes_answers(self, document, queries):
-        keys_on, delivered_on = _run(queries, document, True)
-        keys_off, delivered_off = _run(queries, document, False)
-        assert keys_on == keys_off
-        assert delivered_on == delivered_off
+        assert _run(queries, document) == _oracle(queries, document)
 
     @settings(max_examples=15, deadline=None)
     @given(document=_documents(), queries=_linear_queries())
     def test_expat_backend_agrees_with_pure(self, document, queries):
-        keys_pure, _ = _run(queries, document, True, parser="pure")
-        keys_expat, _ = _run(queries, document, True, parser="expat")
+        keys_pure, _ = _run(queries, document, parser="pure")
+        keys_expat, _ = _run(queries, document, parser="expat")
         assert keys_pure == keys_expat

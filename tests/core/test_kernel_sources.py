@@ -5,13 +5,16 @@ sources — an event list, the pure one-shot scan, a pure push session fed at
 random chunk boundaries, expat one-shot, expat fed in byte chunks, and binary
 event frames — and consumed by four subscription shapes: the single-query
 facade ``repro.evaluate``, an :class:`~repro.Engine` with one subscription,
-and one engine holding every query with containment sharing off and on.
-Each combination, with statistics collection on and off, must give the
-per-query result sets of :func:`~repro.baselines.evaluate_with_dom` —
-``NodeRef.line`` included — on generated queries over generated documents
-sprinkled with comments, CDATA, processing instructions and start tags that
-span lines.  For the single-query facade the statistics must also agree
-across pure one-shot, expat one-shot and the staged event pipeline.
+and one engine holding every query (containment families included).  Each
+combination, with statistics collection on and off, must give the per-query
+result sets of :func:`~repro.baselines.evaluate_with_dom` — ``NodeRef.line``
+included — on generated queries over generated documents sprinkled with
+comments, CDATA, processing instructions and start tags that span lines.
+The many-query engine also pins the delivery contract: each subscription's
+pushed sequence is the same from all six sources and holds every
+``results()`` solution exactly once.  For the single-query facade the
+statistics must also agree across pure one-shot, expat one-shot and the
+staged event pipeline.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro import Engine, EngineConfig
 from repro.baselines import evaluate_with_dom
 from repro.core import engine as engine_module
 from repro.core.engine import TwigMEvaluator
+from repro.core.results import Solution
 from repro.datasets.randomtree import RandomTreeConfig, RandomTreeGenerator
 from repro.xmlstream.eventcodec import EventFrameDecoder, EventFrameEncoder
 from repro.xmlstream.tokenizer import tokenize
@@ -159,7 +163,7 @@ ENGINE = {
 }
 
 SOURCES = sorted(FACADE)
-SHAPES = ["facade", "one-subscription", "many-sharing-off", "many-sharing-on"]
+SHAPES = ["facade", "one-subscription", "many"]
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +173,27 @@ def oracle():
         for index, document in enumerate(DOCUMENTS)
         for query in QUERIES
     }
+
+
+def _many(source, stats, index, document):
+    """Every query on one engine: (results, pushed sequence) per query."""
+    pushed = {query: [] for query in QUERIES}
+    with Engine(EngineConfig(collect_statistics=stats)) as engine:
+        for number, query in enumerate(QUERIES):
+            engine.subscribe(
+                query,
+                callback=lambda match, seen=pushed[query]: seen.append(match.solution),
+                name=f"q{number}",
+            )
+        ENGINE[source](engine, document, index)
+        results = engine.results()
+    return {query: results[f"q{n}"].solutions for n, query in enumerate(QUERIES)}, pushed
+
+
+@pytest.fixture(scope="module")
+def reference_pushes():
+    """Each subscription's pushed sequence from the event-list source."""
+    return [_many("events", True, index, doc)[1] for index, doc in enumerate(DOCUMENTS)]
 
 
 def _answers(source, shape, stats, index, document):
@@ -186,14 +211,7 @@ def _answers(source, shape, stats, index, document):
                 ENGINE[source](engine, document, index)
                 answers[query] = engine.results()["q"].solutions
         return answers
-    sharing = shape == "many-sharing-on"
-    config = EngineConfig(collect_statistics=stats, containment_sharing=sharing)
-    with Engine(config) as engine:
-        for number, query in enumerate(QUERIES):
-            engine.subscribe(query, name=f"q{number}")
-        ENGINE[source](engine, document, index)
-        results = engine.results()
-    return {query: results[f"q{n}"].solutions for n, query in enumerate(QUERIES)}
+    return _many(source, stats, index, document)[0]
 
 
 @pytest.mark.parametrize("stats", [True, False], ids=["stats", "nostats"])
@@ -205,6 +223,20 @@ def test_source_and_shape_agree_with_the_oracle(oracle, source, shape, stats):
         for query in QUERIES:
             assert answers[query] == oracle[(index, query)], (
                 f"{source} × {shape}: {query!r} on document {index}"
+            )
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_each_subscription_gets_one_sequence_from_every_source(
+    reference_pushes, source
+):
+    for index, document in enumerate(DOCUMENTS):
+        results, pushed = _many(source, False, index, document)
+        assert pushed == reference_pushes[index], f"{source} on document {index}"
+        for query in QUERIES:
+            # Exactly once: the pushed sequence is a permutation of results().
+            assert sorted(pushed[query], key=Solution.order_key) == results[query], (
+                f"{source}: {query!r} on document {index}"
             )
 
 

@@ -22,6 +22,7 @@ import pytest
 from repro.service.client import ServiceConnection, ServiceError
 from repro.service.server import ServiceServer
 from repro.service.sharding import ShardedServiceServer
+from repro.xpath.generator import FAMILY_VARIANTS
 
 
 def _load_parity_harness():
@@ -147,6 +148,28 @@ class TestRoutingPolicy:
                 assert stats["machine_count"] == 1
                 per_worker = [w["subscriptions"] for w in stats["workers"]]
                 assert sorted(per_worker) == [0, 3]
+            finally:
+                await client.close()
+                await server.close()
+
+        run(scenario())
+
+    def test_family_shapes_pin_to_one_anchor_worker(self):
+        """The five refinement shapes of one containment family land on the
+        worker running its anchor: one machine in total, not one per worker."""
+
+        async def scenario():
+            server = ShardedServiceServer(workers=2, parser="native")
+            await server.start(port=0)
+            host, port = server.address
+            client = await ServiceConnection.connect(host, port)
+            try:
+                for index, shape in enumerate(FAMILY_VARIANTS):
+                    await client.subscribe(shape.format(f=1), name=f"shape{index}")
+                stats = await client.stats()
+                assert stats["machine_count"] == 1
+                per_worker = [w["subscriptions"] for w in stats["workers"]]
+                assert sorted(per_worker) == [0, len(FAMILY_VARIANTS)]
             finally:
                 await client.close()
                 await server.close()
