@@ -17,7 +17,7 @@ continue a half-parsed document in another process:
   backend), or the raw chunk prefix that re-drives a fresh expat parser
   (expat backend — expat state cannot be serialized, so restoration
   *replays* the identical input with machine handlers disabled; see
-  :meth:`~repro.core.fastpath.FusedExpatMultiDriver.prime`).
+  :meth:`~repro.core.fastpath.FusedExpatDriver.prime`).
 
 Machine *structure* never travels: queries are recompiled from their source
 text on restore, which is deterministic, so stack entries can reference

@@ -39,8 +39,9 @@ from ..xmlstream.sax import event_batches, iter_events
 from ..xmlstream.serializer import serialize_events
 from ..xpath.ast import QueryTree
 from .builder import build_machine
-from .fastpath import FusedExpatDriver, fused_pure_multi_evaluate
+from .fastpath import FusedExpatDriver, StreamShape, fused_pure_multi_evaluate
 from .machine import TwigMachine
+from .queryindex import InterestSets
 from .results import ResultCollector, ResultSet, Solution
 from .statistics import EngineStatistics
 from .transitions import (
@@ -269,7 +270,6 @@ class TwigMEvaluator:
             and not _is_event_iterable(source)
         )
         if fresh:
-            statistics = self.statistics if self.collect_statistics else None
             if (
                 parser in ("native", "pure")
                 and isinstance(source, str)
@@ -282,47 +282,22 @@ class TwigMEvaluator:
                     _OneEntryIndex(self), source, deque(maxlen=0)
                 )
                 if shape is not None:
-                    elements, attributes, max_depth, text_runs, misc_events = shape
-                    if statistics is not None:
-                        statistics.elements = elements
-                        statistics.attributes = attributes
-                        statistics.max_depth = max_depth
-                        statistics.text_chunks = text_runs
-                        # StartDocument + EndDocument + one start and one
-                        # end per element + text runs + comments/PIs.
-                        statistics.events = (
-                            2 + 2 * elements + text_runs + misc_events
-                        )
-                    self._element_order = elements
-                    self._started = True
-                    self._finished = True
-                    return self.finish()
+                    return self._finish_fused(shape)
                 # Construct the fast scan could not handle (or a syntax
                 # error): reset the partial state and replay through the
                 # event pipeline, which reproduces the canonical behaviour.
-                self.machine.reset()
-                self.collector = ResultCollector()
-                if self.collect_statistics:
-                    self.statistics = EngineStatistics()
+                self.reset()
             elif parser == "expat":
-                driver = FusedExpatDriver(
-                    self.machine, statistics, self.collector, self.eager_emission
-                )
+                driver = FusedExpatDriver(_OneEntryIndex(self))
                 reader = StreamReader(source, chunk_size=chunk_size)
                 try:
                     driver.run(reader.raw_chunks())
                 except Exception:
                     # Leave the evaluator clean: a later evaluate() must not
                     # see this failed run's partial stacks or solutions.
-                    self.machine.reset()
-                    self.collector = ResultCollector()
-                    if self.collect_statistics:
-                        self.statistics = EngineStatistics()
+                    self.reset()
                     raise
-                self._element_order = driver.element_count
-                self._started = True
-                self._finished = True
-                return self.finish()
+                return self._finish_fused(driver.shape)
         if _is_event_iterable(source):
             feed = self.feed
             for event in source:
@@ -387,6 +362,24 @@ class TwigMEvaluator:
 
     # ------------------------------------------------------------ internals
 
+    def _finish_fused(self, shape: StreamShape) -> ResultSet:
+        """Record a fused run's stream counters the way the event pipeline
+        counts them, and finish."""
+        elements, attributes, max_depth, text_runs, misc_events = shape
+        if self.collect_statistics:
+            statistics = self.statistics
+            statistics.elements = elements
+            statistics.attributes = attributes
+            statistics.max_depth = max_depth
+            statistics.text_chunks = text_runs
+            # StartDocument + EndDocument + one start and one end per
+            # element + text runs + comments/PIs.
+            statistics.events = 2 + 2 * elements + text_runs + misc_events
+        self._element_order = elements
+        self._started = True
+        self._finished = True
+        return self.finish()
+
     @staticmethod
     def _events_for(
         source: Union[TextSource, Iterable[Event]],
@@ -432,14 +425,16 @@ class TwigMEvaluator:
 class _OneEntryIndex:
     """A :class:`TwigMEvaluator` seen as a one-runtime query index.
 
-    Carries just what :func:`~repro.core.fastpath.fused_pure_multi_evaluate`
-    reads of an index and its runtimes, so the single-query engine runs the
-    multi-query scan: the evaluator's machine is the only runtime, dispatched
-    every tag its machine has nodes for (the scan memoises the answer per
-    tag spelling).
+    Carries just what the fused drivers of :mod:`repro.core.fastpath` read
+    of an index and its runtimes, so the single-query engine runs the
+    multi-query pure scan and expat driver: the evaluator's machine is the
+    only runtime, dispatched every tag its machine has nodes for.  Its
+    collector already holds every solution, so delivery is a no-op, and
+    with no family runtime to read an ancestor chain it keeps none.
     """
 
     is_family = False
+    context = None
 
     def __init__(self, evaluator: TwigMEvaluator) -> None:
         self.machine = evaluator.machine
@@ -448,13 +443,16 @@ class _OneEntryIndex:
         )
         self.collector = evaluator.collector
         self.eager = evaluator.eager_emission
-        self.context: List[str] = []
+        self.dispatch = InterestSets(self._interest).__getitem__
 
-    def dispatch(self, name: str) -> List["_OneEntryIndex"]:
+    def _interest(self, name: str) -> List["_OneEntryIndex"]:
         return [self] if self.machine.nodes_matching(name) else []
 
     def text_runtimes(self) -> List["_OneEntryIndex"]:
         return [self] if self.machine.text_nodes else []
+
+    def deliver(self, solutions: List[Solution], emitted=None) -> None:
+        pass
 
 
 def _is_event_iterable(source) -> bool:

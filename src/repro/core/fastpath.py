@@ -10,14 +10,14 @@ unpacking event tuples.
 Every driver here runs start and end tags through the scalar transition
 functions of :mod:`repro.core.transitions` (the paper's §3.2); none keeps a
 private copy of them (``tools/check_single_kernel.py`` enforces that).
-There are three:
+There is one per input format, and both hand each tag to the runtimes an
+index dispatches it to: :class:`MultiQueryEvaluator` passes its
+:class:`~repro.core.queryindex.QueryIndex`, :class:`TwigMEvaluator` passes
+itself as a one-entry index.
 
 * :func:`fused_pure_multi_evaluate` — the one pure scan, behind both
   engines' ``evaluate()`` on in-memory ``str`` documents, where chunking
-  buys no memory advantage.  It walks the document once and hands each tag
-  to the runtimes an index dispatches it to: :class:`MultiQueryEvaluator`
-  passes its :class:`~repro.core.queryindex.QueryIndex`,
-  :class:`TwigMEvaluator` passes itself as a one-entry index.  Tags are
+  buys no memory advantage.  It walks the document once.  Tags are
   recognised under the tag-memo policy of :mod:`repro.xmlstream.tokenizer`
   (which states the soundness argument and the cap): a start tag seen
   before costs one probe of a per-call table whose entries also carry the
@@ -28,15 +28,14 @@ There are three:
   the general pipeline — unsupported constructs or any syntax error — and
   the caller replays through the event pipeline, which reproduces the exact
   error message of the incremental tokenizer.
-* :class:`FusedExpatDriver` — single-query expat callbacks.  Works for any
-  (possibly streaming) source and keeps expat's constant-memory behaviour.
-* :class:`FusedExpatMultiDriver` — the indexed expat callbacks, one-shot
-  or push (session) mode.
+* :class:`FusedExpatDriver` — the expat callbacks, one-shot or push
+  (session) mode.  Works for any (possibly streaming) source and keeps
+  expat's constant-memory behaviour.
 
-Statistics are the event pipeline's: the single-query drivers reproduce its
-counters exactly (the pure scan returns the stream-level counts for its
-caller to record); the indexed drivers follow the per-subscription
-semantics documented in :mod:`repro.core.multi`.
+Statistics follow the per-subscription semantics documented in
+:mod:`repro.core.multi`.  Both drivers also report the stream-level counts
+(:data:`StreamShape`), from which the single-query engine records the event
+pipeline's counters exactly.
 """
 
 from __future__ import annotations
@@ -46,20 +45,17 @@ from xml.parsers import expat
 
 from ..errors import XMLSyntaxError
 from ..xmlstream.tokenizer import (
-    _END_TAG_RE,
-    _START_TAG_RE,
-    _TAG_MEMO_KEY_CAP,
+    END_TAG_RE,
+    START_TAG_RE,
+    TAG_MEMO_KEY_CAP,
     StreamTokenizer,
     decode_entities,
     memoise_start_tag,
     parse_attribute_string,
 )
-from .machine import TwigMachine
-from .results import ResultCollector
-from .statistics import EngineStatistics
 from .transitions import process_end_element, process_start_element
 
-#: What the pure scan saw of the stream: ``(elements, attributes, max_depth,
+#: What a driver saw of the stream: ``(elements, attributes, max_depth,
 #: text_runs, misc_events)`` — text runs coalesced the way the event
 #: pipeline emits ``Characters``, misc events = comments + processing
 #: instructions.
@@ -88,7 +84,7 @@ def _scan_misc(doc: str, lt: int) -> Optional[Tuple[int, bool, Optional[str]]]:
         target = doc[lt + 2:end].partition(" ")[0].strip()
         return end + 2, target.lower() != "xml", None
     if doc.startswith("<!DOCTYPE", lt):
-        end = StreamTokenizer._find_doctype_end(doc, lt)
+        end = StreamTokenizer.find_doctype_end(doc, lt)
         return None if end is None else (end, False, None)
     return None
 
@@ -103,145 +99,6 @@ def _append_text(text_nodes, text: str, level: int) -> None:
                 entry.direct_parts.append(text)
 
 
-class FusedExpatDriver:
-    """Drive the TwigM transitions straight from expat callbacks.
-
-    No event objects are created: each callback calls the scalar transition
-    functions with the values expat hands it.  Statistics counters (when
-    enabled) are maintained with the same semantics as the event pipeline,
-    including coalesced text-chunk counting.
-    """
-
-    def __init__(
-        self,
-        machine: TwigMachine,
-        statistics: Optional[EngineStatistics],
-        collector: ResultCollector,
-        eager_emission: bool,
-    ) -> None:
-        parser = expat.ParserCreate()
-        parser.buffer_text = True
-        parser.ordered_attributes = True
-        parser.StartElementHandler = self._start_element
-        parser.EndElementHandler = self._end_element
-        if machine.text_nodes or statistics is not None:
-            parser.CharacterDataHandler = self._characters
-        if statistics is not None:
-            parser.CommentHandler = self._comment
-            parser.ProcessingInstructionHandler = self._processing_instruction
-        self._parser = parser
-        self._machine = machine
-        self._statistics = statistics
-        self._collector = collector
-        self._eager = eager_emission
-        self._text_nodes = machine.text_nodes
-        self._level = 0
-        self._order = 0
-        self._pending_text = False
-
-    # ------------------------------------------------------------------ API
-
-    @property
-    def element_count(self) -> int:
-        """Number of start tags processed so far."""
-        return self._order
-
-    def run(self, chunks) -> None:
-        """Consume the whole document from an iterable of str/bytes chunks."""
-        statistics = self._statistics
-        if statistics is not None:
-            statistics.events += 1  # StartDocument
-        parser = self._parser
-        fed_bytes = False
-        try:
-            for chunk in chunks:
-                if isinstance(chunk, bytes):
-                    fed_bytes = True
-                parser.Parse(chunk, False)
-            parser.Parse(b"" if fed_bytes else "", True)
-        except expat.ExpatError as exc:
-            raise XMLSyntaxError(
-                str(exc),
-                line=getattr(exc, "lineno", None),
-                column=getattr(exc, "offset", None),
-            ) from exc
-        self._flush_pending()
-        if statistics is not None:
-            statistics.events += 1  # EndDocument
-
-    # ------------------------------------------------------ expat callbacks
-
-    def _flush_pending(self) -> None:
-        if self._pending_text:
-            self._pending_text = False
-            statistics = self._statistics
-            if statistics is not None:
-                statistics.text_chunks += 1
-                statistics.events += 1
-
-    def _start_element(self, name: str, attributes: List[str]) -> None:
-        if self._pending_text:
-            self._flush_pending()
-        statistics = self._statistics
-        if statistics is not None:
-            statistics.events += 1
-        level = self._level + 1
-        self._level = level
-        pairs = tuple(zip(attributes[0::2], attributes[1::2])) if attributes else ()
-        order = self._order
-        self._order = order + 1
-        process_start_element(
-            self._machine,
-            name,
-            level,
-            pairs,
-            self._parser.CurrentLineNumber,
-            order,
-            statistics,
-        )
-
-    def _end_element(self, name: str) -> None:
-        if self._pending_text:
-            self._flush_pending()
-        statistics = self._statistics
-        if statistics is not None:
-            statistics.events += 1
-        level = self._level
-        self._level = level - 1
-        process_end_element(
-            self._machine, name, level, statistics, self._collector,
-            eager_emission=self._eager,
-        )
-
-    def _characters(self, data: str) -> None:
-        level = self._level
-        if level <= 0:
-            return
-        self._pending_text = True
-        text_nodes = self._text_nodes
-        if text_nodes:
-            for machine_node in text_nodes:
-                for entry in machine_node.stack.entries:
-                    if entry.string_parts is not None:
-                        entry.string_parts.append(data)
-                    if entry.direct_parts is not None and level == entry.level:
-                        entry.direct_parts.append(data)
-
-    def _comment(self, data: str) -> None:
-        if self._pending_text:
-            self._flush_pending()
-        statistics = self._statistics
-        if statistics is not None:
-            statistics.events += 1
-
-    def _processing_instruction(self, target: str, data: str) -> None:
-        if self._pending_text:
-            self._flush_pending()
-        statistics = self._statistics
-        if statistics is not None:
-            statistics.events += 1
-
-
 # ---------------------------------------------------------------------------
 # The pure scan: one bulk scan, label-dispatched runtimes
 # ---------------------------------------------------------------------------
@@ -254,8 +111,9 @@ def fused_pure_multi_evaluate(
 
     ``index`` is a :class:`~repro.core.queryindex.QueryIndex`, or anything
     offering the members the scan reads (``dispatch``, ``text_runtimes``,
-    ``context``; runtimes with ``machine``, ``statistics``, ``collector``,
-    ``eager``, ``is_family``).  ``deliveries`` receives ``(runtime,
+    ``context`` — the ancestor chain, or ``None``; runtimes with
+    ``machine``, ``statistics``, ``collector``, ``eager``, ``is_family``).
+    ``deliveries`` receives ``(runtime,
     solutions)`` pairs in emission order.  Deliveries are *buffered* rather
     than fanned out immediately: when the scan bails out (returns ``None``)
     the caller resets the machines and replays through the event pipeline,
@@ -280,8 +138,8 @@ def _fused_pure_multi_scan(
     find = doc.find
     count = doc.count
     startswith = doc.startswith
-    start_match = _START_TAG_RE.match
-    end_match = _END_TAG_RE.match
+    start_match = START_TAG_RE.match
+    end_match = END_TAG_RE.match
     dispatch = index.dispatch
     text_runtimes = index.text_runtimes()
     need_text = bool(text_runtimes)
@@ -292,13 +150,16 @@ def _fused_pure_multi_scan(
     memo: dict = {}
     memo_get = memo.get
 
-    # The scan's open-element stack *is* the index's live ancestor chain:
-    # family runtimes resolve residual paths against it at emission time, so
-    # it must reflect the chain of the element being closed — hence the pops
-    # below happen after the end-element dispatch, not before.  ``open_tags``
-    # shadows it with one memo entry per open element (built on a miss even
-    # when it cannot be stored), so an end tag needs no lookup.
+    # The scan's open-element stack *is* the index's live ancestor chain
+    # (when the index keeps one): family runtimes resolve residual paths
+    # against it at emission time, so it must reflect the chain of the
+    # element being closed — hence the pops below happen after the
+    # end-element dispatch, not before.  ``open_tags`` shadows it with one
+    # memo entry per open element (built on a miss even when it cannot be
+    # stored), so an end tag needs no lookup.
     open_elements = index.context
+    if open_elements is None:
+        open_elements = []
     del open_elements[:]
     open_tags: List[tuple] = []
     order = 0
@@ -377,7 +238,7 @@ def _fused_pure_multi_scan(
             index_pos = end
             continue
         elif second not in ("!", "?", ""):
-            gt = find(">", lt, lt + _TAG_MEMO_KEY_CAP)
+            gt = find(">", lt, lt + TAG_MEMO_KEY_CAP)
             hit = memo_get(doc[lt:gt + 1])
             if hit is not None:
                 end = gt + 1
@@ -462,15 +323,23 @@ def _fused_pure_multi_scan(
     return order, attribute_count, max_depth, text_runs, misc_events
 
 
-class FusedExpatMultiDriver:
-    """Drive every indexed machine straight from one set of expat callbacks.
+# ---------------------------------------------------------------------------
+# The expat driver: one set of callbacks, label-dispatched runtimes
+# ---------------------------------------------------------------------------
 
-    The expat analogue of :func:`fused_pure_multi_evaluate`: each callback
-    consults the label-dispatch index and calls the scalar transition
-    functions only for interested machines.  Unlike the pure scan, solutions
-    are delivered (fanned out to subscribers) immediately as they are found —
-    expat either completes or raises, there is no replay, so immediate
-    delivery matches the incremental semantics of the event pipeline.
+
+class FusedExpatDriver:
+    """Drive the indexed runtimes straight from expat callbacks.
+
+    The expat analogue of :func:`fused_pure_multi_evaluate`, over the same
+    kind of index: each callback consults the label-dispatch index and calls
+    the scalar transition functions only for interested machines, with no
+    event objects in between.  Unlike the pure scan, solutions are delivered
+    (fanned out to subscribers) immediately as they are found — expat
+    either completes or raises, there is no replay, so immediate delivery
+    matches the incremental semantics of the event pipeline.  The driver
+    also counts the stream's :data:`StreamShape` (:attr:`shape`), from which
+    the single-query engine records the event pipeline's counters.
 
     Two driving modes share the callbacks:
 
@@ -480,10 +349,9 @@ class FusedExpatMultiDriver:
       (session) mode: the *caller* owns the read loop and hands chunks to
       ``Parse(chunk, 0)`` as they arrive.  Delivered pairs are buffered on
       :attr:`emitted` (fan-out still happens immediately; the buffer is how
-      the session returns pairs per chunk), every handler is registered up
-      front because subscriptions may be added mid-stream, and the cached
-      text-runtime list is refreshed at each chunk boundary — registration
-      changes can only happen between chunks.
+      the session returns pairs per chunk).  Subscriptions may be added
+      between chunks, so the cached text-runtime list is refreshed at each
+      chunk boundary.
     """
 
     def __init__(self, index, incremental: bool = False) -> None:
@@ -492,50 +360,72 @@ class FusedExpatMultiDriver:
         parser.ordered_attributes = True
         parser.StartElementHandler = self._start_element
         parser.EndElementHandler = self._end_element
-        self._index = index
-        self._incremental = incremental
-        self._text_runtimes = index.text_runtimes()
-        if incremental or self._text_runtimes:
-            parser.CharacterDataHandler = self._characters
-            parser.CommentHandler = self._misc
-            parser.ProcessingInstructionHandler = self._misc
+        parser.CharacterDataHandler = self._characters
+        parser.CommentHandler = self._misc
+        parser.ProcessingInstructionHandler = self._misc
         self._parser = parser
+        self._index = index
         self._dispatch = index.dispatch
+        self._text_runtimes = index.text_runtimes()
         #: The index's live ancestor chain (family residual checks read it
-        #: at emission time).  On a mid-stream restore the chain comes back
-        #: with the engine state, matching the primed parser position.
+        #: at emission time), or ``None`` when the index keeps none.  On a
+        #: mid-stream restore the chain comes back with the engine state,
+        #: matching the primed parser position.
         self._context = index.context
         self._level = 0
         self._order = 0
         self._pending_text = False
         self._fed_bytes = False
+        self._attributes = 0
+        self._max_depth = 0
+        self._text_runs = 0
+        self._misc_events = 0
         #: Pairs delivered since the caller last drained (incremental mode).
-        self.emitted: List = [] if incremental else None
+        self.emitted: Optional[List] = [] if incremental else None
 
     @property
     def element_count(self) -> int:
         """Number of start tags processed so far."""
         return self._order
 
+    @property
+    def shape(self) -> StreamShape:
+        """What the driver saw of the stream, as the pure scan reports it."""
+        return (
+            self._order, self._attributes, self._max_depth,
+            self._text_runs, self._misc_events,
+        )
+
     def run(self, chunks) -> None:
         """Consume the whole document from an iterable of str/bytes chunks."""
-        parser = self._parser
-        fed_bytes = False
+        for chunk in chunks:
+            self.feed(chunk)
+        self.finish()
+
+    def feed(self, chunk) -> None:
+        """Push one str/bytes chunk through ``Parse(chunk, 0)``."""
+        self._text_runtimes = self._index.text_runtimes()
+        if isinstance(chunk, bytes):
+            self._fed_bytes = True
+        self._parse(chunk, False)
+
+    def finish(self) -> None:
+        """Signal end of input (``Parse(_, 1)``) and flush pending text."""
+        self._text_runtimes = self._index.text_runtimes()
+        self._parse(b"" if self._fed_bytes else "", True)
+        self._flush_pending()
+
+    def _parse(self, data, final: bool) -> None:
         try:
-            for chunk in chunks:
-                if isinstance(chunk, bytes):
-                    fed_bytes = True
-                parser.Parse(chunk, False)
-            parser.Parse(b"" if fed_bytes else "", True)
+            self._parser.Parse(data, final)
         except expat.ExpatError as exc:
             raise XMLSyntaxError(
                 str(exc),
                 line=getattr(exc, "lineno", None),
                 column=getattr(exc, "offset", None),
             ) from exc
-        self._flush_pending()
 
-    # ------------------------------------------------------------ push mode
+    # ------------------------------------------------------------ checkpoint
 
     def snapshot_state(self) -> dict:
         """JSON-able driver scalars for the checkpoint format.
@@ -602,38 +492,12 @@ class FusedExpatMultiDriver:
         if self.emitted:
             self.emitted.clear()
 
-    def feed(self, chunk) -> None:
-        """Push one str/bytes chunk through ``Parse(chunk, 0)``."""
-        self._text_runtimes = self._index.text_runtimes()
-        if isinstance(chunk, bytes):
-            self._fed_bytes = True
-        try:
-            self._parser.Parse(chunk, False)
-        except expat.ExpatError as exc:
-            raise XMLSyntaxError(
-                str(exc),
-                line=getattr(exc, "lineno", None),
-                column=getattr(exc, "offset", None),
-            ) from exc
-
-    def finish(self) -> None:
-        """Signal end of input (``Parse(_, 1)``) and flush pending text."""
-        self._text_runtimes = self._index.text_runtimes()
-        try:
-            self._parser.Parse(b"" if self._fed_bytes else "", True)
-        except expat.ExpatError as exc:
-            raise XMLSyntaxError(
-                str(exc),
-                line=getattr(exc, "lineno", None),
-                column=getattr(exc, "offset", None),
-            ) from exc
-        self._flush_pending()
-
     # ------------------------------------------------------ expat callbacks
 
     def _flush_pending(self) -> None:
         if self._pending_text:
             self._pending_text = False
+            self._text_runs += 1
             for runtime in self._text_runtimes:
                 statistics = runtime.statistics
                 if statistics is not None:
@@ -644,21 +508,25 @@ class FusedExpatMultiDriver:
             self._flush_pending()
         level = self._level + 1
         self._level = level
+        if level > self._max_depth:
+            self._max_depth = level
         context = self._context
-        del context[level - 1 :]
-        context.append(name)
+        if context is not None:
+            del context[level - 1 :]
+            context.append(name)
         order = self._order
         self._order = order + 1
+        if attributes:
+            self._attributes += len(attributes) >> 1
         runtimes = self._dispatch(name)
-        if not runtimes:
-            return
-        pairs = tuple(zip(attributes[0::2], attributes[1::2])) if attributes else ()
-        line = self._parser.CurrentLineNumber
-        for runtime in runtimes:
-            process_start_element(
-                runtime.machine, name, level, pairs, line, order,
-                runtime.statistics,
-            )
+        if runtimes:
+            pairs = tuple(zip(attributes[0::2], attributes[1::2])) if attributes else ()
+            line = self._parser.CurrentLineNumber
+            for runtime in runtimes:
+                process_start_element(
+                    runtime.machine, name, level, pairs, line, order,
+                    runtime.statistics,
+                )
 
     def _end_element(self, name: str) -> None:
         if self._pending_text:
@@ -675,7 +543,9 @@ class FusedExpatMultiDriver:
                 runtime.deliver(solutions, emitted)
         # Truncate *after* dispatch: family runtimes resolve residual paths
         # against the chain of the element being closed.
-        del self._context[level - 1 :]
+        context = self._context
+        if context is not None:
+            del context[level - 1 :]
 
     def _characters(self, data: str) -> None:
         level = self._level
@@ -683,16 +553,12 @@ class FusedExpatMultiDriver:
             return
         self._pending_text = True
         for runtime in self._text_runtimes:
-            for machine_node in runtime.machine.text_nodes:
-                for entry in machine_node.stack.entries:
-                    if entry.string_parts is not None:
-                        entry.string_parts.append(data)
-                    if entry.direct_parts is not None and level == entry.level:
-                        entry.direct_parts.append(data)
+            _append_text(runtime.machine.text_nodes, data, level)
 
     def _misc(self, *args) -> None:
         if self._pending_text:
             self._flush_pending()
+        self._misc_events += 1
 
 
 def _prime_noop(*args) -> None:
@@ -701,6 +567,5 @@ def _prime_noop(*args) -> None:
 
 __all__ = [
     "FusedExpatDriver",
-    "FusedExpatMultiDriver",
     "fused_pure_multi_evaluate",
 ]

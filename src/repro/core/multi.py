@@ -121,7 +121,7 @@ from ..xmlstream.sax import event_batches, iter_events
 from ..xpath.ast import QueryTree
 from .builder import shared_compiled_cache, shared_planner
 from .engine import TwigMEvaluator
-from .fastpath import FusedExpatMultiDriver, fused_pure_multi_evaluate
+from .fastpath import FusedExpatDriver, fused_pure_multi_evaluate
 from .queryindex import (
     FamilyRuntime,
     QueryIndex,
@@ -130,6 +130,11 @@ from .queryindex import (
     trie_path,
 )
 from .results import Match, ResultSet, Solution
+from .transitions import (
+    process_characters,
+    process_end_element,
+    process_start_element,
+)
 
 #: What the engine accepts wherever a query is expected: a source string, a
 #: normalized twig, or (structurally — core never imports the facade) a
@@ -546,45 +551,93 @@ class MultiQueryEvaluator:
         emitted: List[Match] = []
         cls = event.__class__
         if cls is StartElement or isinstance(event, StartElement):
-            self._started = True
-            # Maintain the live ancestor tag chain for family residual
-            # checks.  The level-based truncation self-heals across resets
-            # and replays: the document element (level 1) clears the chain.
-            context = self._index.context
-            del context[event.level - 1 :]
-            context.append(event.name)
-            # Inject the *global* pre-order index: a dispatched machine's own
-            # counter would only count the start tags it was shown, breaking
-            # the canonical NodeRef identity shared with single-query runs.
-            order = self._element_order
-            self._element_order = order + 1
-            for runtime in self._index.dispatch(event.name):
-                evaluator = runtime.evaluator
-                evaluator._element_order = order
-                evaluator.feed(event)  # start tags never emit solutions
-            return emitted
-        if cls is EndElement or isinstance(event, EndElement):
-            self._started = True
-            for runtime in self._index.dispatch(event.name):
-                solutions = runtime.evaluator.feed(event)
-                if solutions:
-                    runtime.deliver(solutions, emitted)
-            # Pop *after* dispatch: family runtimes resolve residual paths
-            # against the chain of the element being closed.
-            context = self._index.context
-            del context[event.level - 1 :]
-            return emitted
-        if cls is Characters or isinstance(event, Characters):
-            for runtime in self._index.text_runtimes():
-                runtime.evaluator.feed(event)  # text never emits solutions
-            return emitted
+            self._start_element(
+                event.position, event.name, event.level, event.attributes, event.line
+            )
+        elif cls is EndElement or isinstance(event, EndElement):
+            self._end_element(
+                emitted, event.position, event.name, event.level, event.line
+            )
+        elif cls is Characters or isinstance(event, Characters):
+            self._characters(event.position, event.text, event.level)
+        else:
+            self._other(emitted, event)
+        return emitted
+
+    # The event handlers behind push(), taking the events' fields in field
+    # order so binary event frames drive them with no event objects in
+    # between (EventStreamSession.feed_frame via EventFrameDecoder.walk).
+    # Each dispatched runtime sees exactly what TwigMEvaluator.feed would do
+    # with the event — subscription evaluators never capture fragments.
+
+    def _start_element(
+        self,
+        position: int,
+        name: str,
+        level: int,
+        attributes: tuple,
+        line: Optional[int],
+    ) -> None:
+        self._started = True
+        # Maintain the live ancestor tag chain for family residual checks.
+        # The level-based truncation self-heals across resets and replays:
+        # the document element (level 1) clears the chain.
+        context = self._index.context
+        del context[level - 1 :]
+        context.append(name)
+        # Inject the *global* pre-order index: a dispatched machine's own
+        # counter would only count the start tags it was shown, breaking the
+        # canonical NodeRef identity shared with single-query runs.
+        order = self._element_order
+        self._element_order = order + 1
+        for runtime in self._index.dispatch(name):
+            statistics = runtime.statistics
+            if statistics is not None:
+                statistics.events += 1
+            evaluator = runtime.evaluator
+            evaluator._started = True
+            evaluator._element_order = order + 1
+            process_start_element(
+                runtime.machine, name, level, attributes, line, order, statistics
+            )
+
+    def _end_element(
+        self,
+        emitted: List[Match],
+        position: int,
+        name: str,
+        level: int,
+        line: Optional[int],
+    ) -> None:
+        self._started = True
+        for runtime in self._index.dispatch(name):
+            statistics = runtime.statistics
+            if statistics is not None:
+                statistics.events += 1
+            solutions = process_end_element(
+                runtime.machine, name, level, statistics, runtime.collector,
+                eager_emission=runtime.eager,
+            )
+            if solutions:
+                runtime.deliver(solutions, emitted)
+        # Pop *after* dispatch: family runtimes resolve residual paths
+        # against the chain of the element being closed.
+        del self._index.context[level - 1 :]
+
+    def _characters(self, position: int, text: str, level: int) -> None:
+        for runtime in self._index.text_runtimes():
+            statistics = runtime.statistics
+            if statistics is not None:
+                statistics.events += 1
+            process_characters(runtime.machine, text, level, statistics)
+
+    def _other(self, emitted: List[Match], event: Event) -> None:
         # Rare events (document boundaries, comments, PIs) go to every
         # machine: EndDocument in particular validates stack emptiness.
         for runtime in self._index.runtimes:
             solutions = runtime.evaluator.feed(event)
             if solutions:
                 runtime.deliver(solutions, emitted)
-        return emitted
 
     def session(
         self,
@@ -791,7 +844,7 @@ class MultiQueryEvaluator:
                 # fires twice.
                 self._reset_machines()
             elif parser == "expat":
-                driver = FusedExpatMultiDriver(self._index)
+                driver = FusedExpatDriver(self._index)
                 reader = StreamReader(source, chunk_size=chunk_size)
                 try:
                     driver.run(reader.raw_chunks())

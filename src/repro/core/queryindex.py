@@ -30,11 +30,11 @@ Every per-registration record (:class:`QueryRuntime`, :class:`FamilyRuntime`,
 registrations stay within container memory.
 
 The index also owns the stream's **ancestor tag chain** (:attr:`QueryIndex.
-context`): every driver (event push, fused pure scan, fused expat, fused
-frame feed) keeps it current — append the tag on a start element, truncate
-after the end-element dispatch — so family runtimes can resolve residual
-path checks at emission time, while the chain of the closing element is
-still known.
+context`): every driver (event push and event frames, the pure scan, the
+expat driver) keeps it current — append the tag on a start element,
+truncate after the end-element dispatch — so family runtimes can resolve
+residual path checks at emission time, while the chain of the closing
+element is still known.
 
 Skipping a machine for a non-matching tag is semantically a no-op: the
 transition functions would have found an empty ``nodes_matching`` list and
@@ -53,12 +53,12 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 from ..xpath.ast import Axis, NodeKind, QueryTree
 from ..xpath.containment import ResidualStep, path_matches
 from .builder import CompiledQuery
-from .engine import TwigMEvaluator
 from .machine import TwigMachine
 from .results import MemberCollector, Match, ResultCollector, Solution
 from .statistics import EngineStatistics
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (multi imports us)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guards
+    from .engine import TwigMEvaluator
     from .multi import Subscription
 
 #: One trie edge: ``(axis symbol, label)`` for element steps, ``("@", name)``
@@ -421,6 +421,25 @@ class FamilyRuntime:
                         emitted.append(Match(name, solution))
 
 
+class InterestSets(dict):
+    """Tag -> interested runtimes; a missing tag is materialised on lookup.
+
+    ``interest_sets.__getitem__`` is what an index offers as ``dispatch``:
+    a warm tag costs one C-level dict lookup, with no Python frame, and
+    every driver calls it once per start and end tag.
+    """
+
+    __slots__ = ("_materialise",)
+
+    def __init__(self, materialise) -> None:
+        super().__init__()
+        self._materialise = materialise
+
+    def __missing__(self, tag: str):
+        interest = self[tag] = self._materialise(tag)
+        return interest
+
+
 class QueryIndex:
     """Prefix-trie registration index with per-tag memoized interest sets.
 
@@ -437,7 +456,10 @@ class QueryIndex:
         self._runtimes: List[QueryRuntime] = []
         self._by_label: Dict[str, List[QueryRuntime]] = {}
         self._wildcard: List[QueryRuntime] = []
-        self._dispatch_cache: Dict[str, List[QueryRuntime]] = {}
+        self._dispatch_cache = InterestSets(self._interest)
+        #: ``dispatch(tag)`` — the runtimes interested in element events
+        #: named ``tag``, in registration order (see :class:`InterestSets`).
+        self.dispatch = self._dispatch_cache.__getitem__
         self._text_runtimes: Optional[List[QueryRuntime]] = None
         self._seq = 0
         self._trie_root = _TrieNode()
@@ -527,23 +549,18 @@ class QueryIndex:
         """Interned prefix-trie nodes (excluding the root)."""
         return self._trie_nodes
 
-    def dispatch(self, tag: str) -> List[QueryRuntime]:
-        """Runtimes interested in element events named ``tag``."""
-        cached = self._dispatch_cache.get(tag)
-        if cached is None:
-            labelled = self._by_label.get(tag)
-            if not self._wildcard:
-                cached = list(labelled) if labelled else []
-            elif not labelled:
-                cached = list(self._wildcard)
-            else:
-                cached = sorted(
-                    labelled + self._wildcard, key=attrgetter("seq")
-                )
-            self._dispatch_cache[tag] = cached
-            if len(cached) > self.peak_fanout:
-                self.peak_fanout = len(cached)
-        return cached
+    def _interest(self, tag: str) -> List[QueryRuntime]:
+        """Materialise the interest set of ``tag`` (memoized by dispatch)."""
+        labelled = self._by_label.get(tag)
+        if not self._wildcard:
+            interest = list(labelled) if labelled else []
+        elif not labelled:
+            interest = list(self._wildcard)
+        else:
+            interest = sorted(labelled + self._wildcard, key=attrgetter("seq"))
+        if len(interest) > self.peak_fanout:
+            self.peak_fanout = len(interest)
+        return interest
 
     def text_runtimes(self) -> List[QueryRuntime]:
         """Runtimes whose machines accumulate character data."""
@@ -592,6 +609,7 @@ class QueryIndex:
 
 __all__ = [
     "FamilyRuntime",
+    "InterestSets",
     "QueryIndex",
     "QueryRuntime",
     "ResidualGroup",

@@ -22,7 +22,7 @@ Two drivers, selected by ``parser``:
   :class:`~repro.xmlstream.reader.IncrementalByteDecoder`), each completed
   event pushed through :meth:`MultiQueryEvaluator.push`.
 * ``"expat"`` — the fused
-  :class:`~repro.core.fastpath.FusedExpatMultiDriver` in incremental mode:
+  :class:`~repro.core.fastpath.FusedExpatDriver` in incremental mode:
   chunks go straight to ``Parse(chunk, 0)`` and callbacks drive the
   dispatch index with no event objects.
 
@@ -47,6 +47,7 @@ incremental-delivery semantics.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Union
 
 from ..errors import CheckpointError, EngineError
@@ -55,8 +56,7 @@ from ..xmlstream.reader import IncrementalByteDecoder
 from ..xmlstream.sax import PARSER_BACKENDS
 from ..xmlstream.tokenizer import StreamTokenizer
 from .checkpoint import decode_spool, encode_spool, engine_state, make_snapshot
-from .fastpath import FusedExpatMultiDriver
-from .framepath import fused_frame_feed
+from .fastpath import FusedExpatDriver
 from .results import Match
 
 
@@ -84,7 +84,7 @@ class StreamSession:
         self._failed = False
         self._aborted_elements = 0
         if parser == "expat":
-            self._driver = FusedExpatMultiDriver(engine._index, incremental=True)
+            self._driver = FusedExpatDriver(engine._index, incremental=True)
             self._tokenizer = None
             # expat detects encodings itself; an explicit override means the
             # caller decodes better than expat would, so decode Python-side
@@ -246,7 +246,7 @@ class StreamSession:
         if parser == "expat":
             session._tokenizer = None
             spool = decode_spool(state.get("spool", []))
-            driver = FusedExpatMultiDriver(engine._index, incremental=True)
+            driver = FusedExpatDriver(engine._index, incremental=True)
             driver.prime(spool, state["driver"])
             session._driver = driver
             session._spool = spool
@@ -401,9 +401,10 @@ class EventStreamSession:
         """Push one *binary event frame* (the protocol-v2 wire unit).
 
         Equivalent to ``feed_events(decoder.decode(frame))`` with the
-        session owning the decoder, but fused: the frame's records drive
-        the TwigM transitions straight off the wire bytes with no event
-        objects in between (:func:`~repro.core.framepath.fused_frame_feed`).
+        session owning the decoder, but fused: start, end and text records
+        reach the engine's event handlers straight off the wire bytes
+        (:meth:`~repro.xmlstream.eventcodec.EventFrameDecoder.walk`), with no
+        event objects in between.
         Frames must arrive in production order from one
         :class:`~repro.xmlstream.eventcodec.EventFrameEncoder`; the
         session's codec state resets with the session, which is why a
@@ -413,11 +414,20 @@ class EventStreamSession:
         decoder = self._decoder
         if decoder is None:
             decoder = self._decoder = EventFrameDecoder()
+        engine = self._engine
+        pairs: List[Match] = []
         try:
-            return fused_frame_feed(self._engine, decoder, frame)
+            decoder.walk(
+                frame,
+                engine._start_element,
+                partial(engine._end_element, pairs),
+                engine._characters,
+                partial(engine._other, pairs),
+            )
         except Exception:
             self.abort()
             raise
+        return pairs
 
     def finish(self) -> List[Match]:
         """Declare end of the event stream.

@@ -36,7 +36,7 @@ the string table, truncated payloads and trailing garbage all raise
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ViteXError
 from .events import (
@@ -294,21 +294,54 @@ class EventFrameDecoder:
         self._last_position = 0
 
     def decode(self, frame: bytes) -> List[Event]:
-        """Return the exact event list ``frame`` was encoded from.
+        """Return the exact event list ``frame`` was encoded from."""
+        events: List[Event] = []
+        append = events.append
+        self.walk(
+            frame,
+            lambda position, name, level, attributes, line: append(
+                StartElement(position, name, level, attributes, line)
+            ),
+            lambda position, name, level, line: append(
+                EndElement(position, name, level, line)
+            ),
+            lambda position, text, level: append(Characters(position, text, level)),
+            append,
+        )
+        return events
 
-        The record loop inlines every field read: at roughly five varints
-        per record, per-field helper calls are the dominant decode cost,
-        and the single-byte fast path (``byte < 0x80``) covers almost all
+    def walk(
+        self,
+        frame: bytes,
+        start: Callable[[int, str, int, Tuple[Tuple[str, str], ...], Optional[int]], Any],
+        end: Callable[[int, str, int, Optional[int]], Any],
+        chars: Callable[[int, str, int], Any],
+        other: Callable[[Event], Any],
+    ) -> None:
+        """Hand every record of ``frame`` to a callback, in order.
+
+        The one frame record loop: :meth:`decode` and the engine's frame
+        feed both run on it.  The dominant record kinds never become event
+        objects — ``start(position, name, level, attributes, line)``,
+        ``end(position, name, level, line)`` and ``chars(position, text,
+        level)`` receive the fields of :class:`StartElement`,
+        :class:`EndElement` and :class:`Characters` in field order — while
+        the rare kinds (document boundaries, comments, processing
+        instructions) reach ``other`` as event objects.
+
+        The loop inlines every field read: at roughly five varints per
+        record, per-field helper calls are the dominant decode cost, and
+        the single-byte fast path (``byte < 0x80``) covers almost all
         fields of a real document.  Multi-byte varints fall back to
         :func:`_read_varint`; truncation is policed by the ``IndexError``
         trap around the loop plus explicit bounds checks on string slices
-        (slicing past the end would silently shorten, not raise).
+        (slicing past the end would silently shorten, not raise).  A
+        malformed record raises after the records before it were handed
+        over, so a consumer aborts the document on :class:`EventCodecError`.
         """
         if not frame or frame[0] != _FRAME_MAGIC:
             raise EventCodecError("not an event frame (bad magic byte)")
         count, offset = _read_varint(frame, 1)
-        events: List[Event] = []
-        append = events.append
         names = self._names
         last = self._last_position
         length = len(frame)
@@ -353,13 +386,13 @@ class EventFrameDecoder:
                             offset += 1
                         else:
                             text_len, offset = _read_varint(frame, offset)
-                        end = offset + text_len
-                        if end > length:
+                        stop = offset + text_len
+                        if stop > length:
                             raise EventCodecError(
                                 "truncated frame: string runs past the end"
                             )
-                        name = frame[offset:end].decode("utf-8")
-                        offset = end
+                        name = frame[offset:stop].decode("utf-8")
+                        offset = stop
                         names.append(name)
                     byte = frame[offset]
                     if byte < 0x80:
@@ -395,13 +428,13 @@ class EventFrameDecoder:
                                 offset += 1
                             else:
                                 text_len, offset = _read_varint(frame, offset)
-                            end = offset + text_len
-                            if end > length:
+                            stop = offset + text_len
+                            if stop > length:
                                 raise EventCodecError(
                                     "truncated frame: string runs past the end"
                                 )
-                            attr_name = frame[offset:end].decode("utf-8")
-                            offset = end
+                            attr_name = frame[offset:stop].decode("utf-8")
+                            offset = stop
                             names.append(attr_name)
                         byte = frame[offset]
                         if byte < 0x80:
@@ -409,29 +442,27 @@ class EventFrameDecoder:
                             offset += 1
                         else:
                             text_len, offset = _read_varint(frame, offset)
-                        end = offset + text_len
-                        if end > length:
+                        stop = offset + text_len
+                        if stop > length:
                             raise EventCodecError(
                                 "truncated frame: string runs past the end"
                             )
                         attributes.append(
-                            (attr_name, frame[offset:end].decode("utf-8"))
+                            (attr_name, frame[offset:stop].decode("utf-8"))
                         )
-                        offset = end
+                        offset = stop
                     byte = frame[offset]
                     if byte < 0x80:
                         raw_line = byte
                         offset += 1
                     else:
                         raw_line, offset = _read_varint(frame, offset)
-                    append(
-                        StartElement(
-                            position,
-                            name,
-                            level,
-                            tuple(attributes),
-                            None if raw_line == 0 else raw_line - 1,
-                        )
+                    start(
+                        position,
+                        name,
+                        level,
+                        tuple(attributes),
+                        None if raw_line == 0 else raw_line - 1,
                     )
                 elif code == _T_END_ELEMENT:
                     byte = frame[offset]
@@ -454,13 +485,13 @@ class EventFrameDecoder:
                             offset += 1
                         else:
                             text_len, offset = _read_varint(frame, offset)
-                        end = offset + text_len
-                        if end > length:
+                        stop = offset + text_len
+                        if stop > length:
                             raise EventCodecError(
                                 "truncated frame: string runs past the end"
                             )
-                        name = frame[offset:end].decode("utf-8")
-                        offset = end
+                        name = frame[offset:stop].decode("utf-8")
+                        offset = stop
                         names.append(name)
                     byte = frame[offset]
                     if byte < 0x80:
@@ -474,13 +505,11 @@ class EventFrameDecoder:
                         offset += 1
                     else:
                         raw_line, offset = _read_varint(frame, offset)
-                    append(
-                        EndElement(
-                            position,
-                            name,
-                            level,
-                            None if raw_line == 0 else raw_line - 1,
-                        )
+                    end(
+                        position,
+                        name,
+                        level,
+                        None if raw_line == 0 else raw_line - 1,
                     )
                 elif code == _T_CHARACTERS:
                     byte = frame[offset]
@@ -489,20 +518,20 @@ class EventFrameDecoder:
                         offset += 1
                     else:
                         text_len, offset = _read_varint(frame, offset)
-                    end = offset + text_len
-                    if end > length:
+                    stop = offset + text_len
+                    if stop > length:
                         raise EventCodecError(
                             "truncated frame: string runs past the end"
                         )
-                    text = frame[offset:end].decode("utf-8")
-                    offset = end
+                    text = frame[offset:stop].decode("utf-8")
+                    offset = stop
                     byte = frame[offset]
                     if byte < 0x80:
                         level = byte
                         offset += 1
                     else:
                         level, offset = _read_varint(frame, offset)
-                    append(Characters(position, text, level))
+                    chars(position, text, level)
                 elif code == _T_COMMENT:
                     byte = frame[offset]
                     if byte < 0x80:
@@ -510,20 +539,20 @@ class EventFrameDecoder:
                         offset += 1
                     else:
                         text_len, offset = _read_varint(frame, offset)
-                    end = offset + text_len
-                    if end > length:
+                    stop = offset + text_len
+                    if stop > length:
                         raise EventCodecError(
                             "truncated frame: string runs past the end"
                         )
-                    text = frame[offset:end].decode("utf-8")
-                    offset = end
+                    text = frame[offset:stop].decode("utf-8")
+                    offset = stop
                     byte = frame[offset]
                     if byte < 0x80:
                         level = byte
                         offset += 1
                     else:
                         level, offset = _read_varint(frame, offset)
-                    append(Comment(position, text, level))
+                    other(Comment(position, text, level))
                 elif code == _T_PROCESSING_INSTRUCTION:
                     byte = frame[offset]
                     if byte < 0x80:
@@ -531,37 +560,37 @@ class EventFrameDecoder:
                         offset += 1
                     else:
                         text_len, offset = _read_varint(frame, offset)
-                    end = offset + text_len
-                    if end > length:
+                    stop = offset + text_len
+                    if stop > length:
                         raise EventCodecError(
                             "truncated frame: string runs past the end"
                         )
-                    target = frame[offset:end].decode("utf-8")
-                    offset = end
+                    target = frame[offset:stop].decode("utf-8")
+                    offset = stop
                     byte = frame[offset]
                     if byte < 0x80:
                         text_len = byte
                         offset += 1
                     else:
                         text_len, offset = _read_varint(frame, offset)
-                    end = offset + text_len
-                    if end > length:
+                    stop = offset + text_len
+                    if stop > length:
                         raise EventCodecError(
                             "truncated frame: string runs past the end"
                         )
-                    data = frame[offset:end].decode("utf-8")
-                    offset = end
+                    data = frame[offset:stop].decode("utf-8")
+                    offset = stop
                     byte = frame[offset]
                     if byte < 0x80:
                         level = byte
                         offset += 1
                     else:
                         level, offset = _read_varint(frame, offset)
-                    append(ProcessingInstruction(position, target, data, level))
+                    other(ProcessingInstruction(position, target, data, level))
                 elif code == _T_START_DOCUMENT:
-                    append(StartDocument(position))
+                    other(StartDocument(position))
                 elif code == _T_END_DOCUMENT:
-                    append(EndDocument(position))
+                    other(EndDocument(position))
                 else:
                     raise EventCodecError(
                         f"corrupt frame: unknown type code {code}"
@@ -578,4 +607,3 @@ class EventFrameDecoder:
                 f"the last record"
             )
         self._last_position = last
-        return events

@@ -69,20 +69,20 @@ def _is_name_char(char: str) -> bool:
 # patterns do not recognise falls back to the character-level slow path,
 # which reports precise errors and handles chunk-boundary splits.
 _NAME_PATTERN = r"(?:[^\W\d]|:)[\w:.\-]*"
-_START_TAG_RE = re.compile(
+START_TAG_RE = re.compile(
     r"<(%(name)s)"
     r"((?:\s+%(name)s\s*=\s*(?:\"[^\"]*\"|'[^']*'))*)"
     r"\s*(/?)>" % {"name": _NAME_PATTERN}
 )
-_END_TAG_RE = re.compile(r"</\s*(%s)\s*>" % _NAME_PATTERN)
+END_TAG_RE = re.compile(r"</\s*(%s)\s*>" % _NAME_PATTERN)
 _ATTRIBUTE_RE = re.compile(r"(%s)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')" % _NAME_PATTERN)
 
 # Tag memo policy, shared by StreamTokenizer._scan and the fused scan in
 # core/fastpath.py.  Documents repeat a few dozen tag spellings, so a start
 # tag is probed by its raw text ``buffer[lt : first ">" + 1]`` (searched at
-# most _TAG_MEMO_KEY_CAP characters ahead, which also bounds the key) and a
+# most TAG_MEMO_KEY_CAP characters ahead, which also bounds the key) and a
 # hit replaces the regex match, its group extraction and the attribute parse.
-# Soundness: only memoise_start_tag inserts, and only a text _START_TAG_RE
+# Soundness: only memoise_start_tag inserts, and only a text START_TAG_RE
 # and parse_attribute_string accepted in full, whose meaning depends on
 # nothing outside it.  A ">" inside a quoted value cuts the probe short of
 # the tag; that prefix has unbalanced quotes, was never a whole valid tag,
@@ -92,7 +92,7 @@ _ATTRIBUTE_RE = re.compile(r"(%s)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')" % _NAME_PATT
 # A full table starts over (no per-entry bookkeeping), so unique tags —
 # ``<entry id="...">`` — can neither grow it nor shut out a later vocabulary.
 # Not configurable.
-_TAG_MEMO_KEY_CAP = 256
+TAG_MEMO_KEY_CAP = 256
 _TAG_MEMO_ENTRY_CAP = 4096
 #: Process-wide table of the incremental tokenizer (sessions and document
 #: streams create one tokenizer per document): raw start tag ->
@@ -120,7 +120,7 @@ def parse_attribute_string(
 ) -> Tuple[Tuple[str, str], ...]:
     """Build the attribute tuple from a regex-validated attribute string.
 
-    ``raw`` must already match the attribute group of ``_START_TAG_RE``.
+    ``raw`` must already match the attribute group of ``START_TAG_RE``.
     Shared by the incremental tokenizer and the fused fast path so the two
     can never drift on entity decoding or duplicate detection.  Raises
     :class:`XMLSyntaxError` for duplicates and malformed entity references.
@@ -455,8 +455,8 @@ class StreamTokenizer:
         count = buffer.count
         startswith = buffer.startswith
         memo_get = _TAG_MEMO.get
-        start_match = _START_TAG_RE.match
-        end_match = _END_TAG_RE.match
+        start_match = START_TAG_RE.match
+        end_match = END_TAG_RE.match
         while index < length:
             lt = find("<", index)
             if lt == -1:
@@ -531,7 +531,7 @@ class StreamTokenizer:
                     index = end
                     continue
             elif second not in ("!", "?", ""):
-                gt = find(">", lt, lt + _TAG_MEMO_KEY_CAP)
+                gt = find(">", lt, lt + TAG_MEMO_KEY_CAP)
                 hit = memo_get(buffer[lt:gt + 1])
                 if hit is not None:
                     name, attributes, empty, newlines = hit
@@ -641,7 +641,7 @@ class StreamTokenizer:
                 self._queue_raw_text(text)
                 return end + 3
             if buffer.startswith("<!DOCTYPE", start):
-                end = self._find_doctype_end(buffer, start)
+                end = self.find_doctype_end(buffer, start)
                 if end is None:
                     if final:
                         raise XMLSyntaxError("unterminated DOCTYPE declaration", line=self._line)
@@ -710,7 +710,7 @@ class StreamTokenizer:
         return end + 1
 
     @staticmethod
-    def _find_doctype_end(buffer: str, start: int) -> Optional[int]:
+    def find_doctype_end(buffer: str, start: int) -> Optional[int]:
         """Find the index just past a DOCTYPE declaration (handles internal subsets)."""
         depth = 0
         index = start

@@ -88,3 +88,18 @@ class TestSingleKernel:
         assert "fastpath.py:1: acquire_entry" in result.stderr
         assert "fastpath.py:3: absorb_candidates" in result.stderr
         assert "stack.py:" not in result.stderr
+
+    def test_a_second_driver_for_an_input_format_is_reported(self, tmp_path):
+        core = tmp_path / "core"
+        core.mkdir()
+        (core / "multi.py").write_text("from .transitions import process_end_element\n")
+        (core / "framepath.py").write_text(
+            "from ..xmlstream.eventcodec import EventFrameDecoder, _read_varint\n"
+            "from .transitions import process_start_element\n"
+        )
+        result = run_tool("check_single_kernel.py", str(tmp_path))
+        assert result.returncode == 1
+        assert "framepath.py:1: xmlstream.eventcodec._read_varint" in result.stderr
+        assert "EventFrameDecoder" not in result.stderr
+        assert "framepath.py:2: import from transitions" in result.stderr
+        assert "multi.py:" not in result.stderr

@@ -108,6 +108,48 @@ class TestUnicode:
         assert decoded[0].attributes[1][1] == big
 
 
+class TestWalk:
+    EVENTS = [
+        StartDocument(0),
+        StartElement(1, "root", 1, (("id", "r1"),), 1),
+        Characters(2, "hello", 1),
+        Comment(3, " c ", 1),
+        EndElement(4, "root", 1, 2),
+        EndDocument(5),
+    ]
+
+    def test_dominant_kinds_arrive_as_fields_and_rare_kinds_as_events(self):
+        frame = EventFrameEncoder().encode(self.EVENTS)
+        seen = []
+        EventFrameDecoder().walk(
+            frame,
+            lambda *fields: seen.append(("start", fields)),
+            lambda *fields: seen.append(("end", fields)),
+            lambda *fields: seen.append(("chars", fields)),
+            lambda event: seen.append(("other", event)),
+        )
+        assert seen == [
+            ("other", StartDocument(0)),
+            ("start", (1, "root", 1, (("id", "r1"),), 1)),
+            ("chars", (2, "hello", 1)),
+            ("other", Comment(3, " c ", 1)),
+            ("end", (4, "root", 1, 2)),
+            ("other", EndDocument(5)),
+        ]
+
+    def test_records_before_a_truncation_are_handed_over(self):
+        frame = EventFrameEncoder().encode(self.EVENTS)
+        seen = []
+
+        def record(*fields):
+            seen.append(fields)
+
+        with pytest.raises(EventCodecError):
+            EventFrameDecoder().walk(frame[:-2], record, record, record, record)
+        assert seen[:2] == [(StartDocument(0),), (1, "root", 1, (("id", "r1"),), 1)]
+        assert (EndDocument(5),) not in seen
+
+
 class TestInterning:
     def test_repeated_names_cost_one_byte_after_first(self):
         first = EventFrameEncoder().encode(

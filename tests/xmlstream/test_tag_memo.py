@@ -27,7 +27,7 @@ from repro.xmlstream import tokenizer as tokenizer_module
 from repro.xmlstream.tokenizer import (
     _TAG_MEMO,
     _TAG_MEMO_ENTRY_CAP,
-    _TAG_MEMO_KEY_CAP,
+    TAG_MEMO_KEY_CAP,
     StreamTokenizer,
     tokenize,
 )
@@ -205,11 +205,11 @@ class TestHitPath:
 
     @pytest.fixture
     def patterns(self, monkeypatch):
-        start = _CountingPattern(tokenizer_module._START_TAG_RE)
-        end = _CountingPattern(tokenizer_module._END_TAG_RE)
+        start = _CountingPattern(tokenizer_module.START_TAG_RE)
+        end = _CountingPattern(tokenizer_module.END_TAG_RE)
         for module in (tokenizer_module, fastpath):
-            monkeypatch.setattr(module, "_START_TAG_RE", start)
-            monkeypatch.setattr(module, "_END_TAG_RE", end)
+            monkeypatch.setattr(module, "START_TAG_RE", start)
+            monkeypatch.setattr(module, "END_TAG_RE", end)
         return start, end
 
     @pytest.mark.parametrize("run", [_fused_single, _fused_multi])
@@ -260,7 +260,7 @@ class TestBound:
             footprints.append(_footprint(_TAG_MEMO))
         tokenizer.close()
         assert max(sizes) <= _TAG_MEMO_ENTRY_CAP
-        assert max(map(len, _TAG_MEMO)) <= _TAG_MEMO_KEY_CAP
+        assert max(map(len, _TAG_MEMO)) <= TAG_MEMO_KEY_CAP
         # 6 250 distinct tags per slice against a cap of 4 096: the table
         # fills and starts over within every slice, under a fixed ceiling.
         assert max(footprints) < 1_000_000
@@ -290,7 +290,7 @@ class TestBound:
         assert len(_fused_single("//big", doc)[0]) == 1
         assert len(_fused_multi("//big", doc)) == 1
         assert len(tables) == 2  # one private table per call
-        assert all(max(map(len, table)) <= _TAG_MEMO_KEY_CAP for table in tables)
+        assert all(max(map(len, table)) <= TAG_MEMO_KEY_CAP for table in tables)
 
     def test_rejected_tags_are_never_stored(self):
         _TAG_MEMO.clear()

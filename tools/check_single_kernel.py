@@ -3,16 +3,22 @@
 
 ``core/transitions.py`` is the one implementation of the paper's transition
 functions and ``core/stack.py`` owns the stack entries they manipulate.
-Every driver (the fused pure scan, expat callbacks, frame feeds, the event
-push path) must call ``process_start_element`` / ``process_end_element`` /
-``process_characters`` rather than inline its own copy of their bodies.  A
+Every driver must call ``process_start_element`` / ``process_end_element``
+/ ``process_characters`` rather than inline its own copy of their bodies.  A
 hand-inlined copy gives itself away by touching the internals those bodies
 use, so this walks the AST of every module under ``src/repro/`` and reports
 any name, attribute or import of:
 
     acquire_entry, release_entry, absorb_candidates, _resolve_attributes
 
-outside those two modules.
+outside those two modules.  It also keeps one driver per input format:
+
+* only the drivers import from ``core/transitions.py`` — ``core/engine.py``
+  and ``core/multi.py`` (events, and event frames through the multi-query
+  engine's handlers), ``core/fastpath.py`` (the pure scan and the expat
+  driver) — plus ``core/__init__.py``, which re-exports the functions;
+* no module under ``core/`` imports an underscore name from
+  ``xmlstream/`` (a second frame or tag decoder would need one).
 
 Usage::
 
@@ -35,6 +41,10 @@ INTERNALS = frozenset(
     {"acquire_entry", "release_entry", "absorb_candidates", "_resolve_attributes"}
 )
 KERNEL = frozenset({os.path.join("core", "transitions.py"), os.path.join("core", "stack.py")})
+DRIVERS = frozenset(
+    os.path.join("core", name)
+    for name in ("__init__.py", "engine.py", "multi.py", "fastpath.py")
+)
 
 
 def _references(tree: ast.AST) -> Iterator[Tuple[int, str]]:
@@ -47,6 +57,25 @@ def _references(tree: ast.AST) -> Iterator[Tuple[int, str]]:
             for alias in node.names:
                 if alias.name.rpartition(".")[2] in INTERNALS:
                     yield node.lineno, alias.name
+
+
+def _driver_imports(
+    tree: ast.AST, in_core: bool, is_driver: bool
+) -> Iterator[Tuple[int, str]]:
+    """Non-driver imports of the transition module, and core imports of
+    xmlstream private names."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        module = node.module
+        if not is_driver and module.rpartition(".")[2] == "transitions" and (
+            node.level == 1 and in_core or module.endswith("core.transitions")
+        ):
+            yield node.lineno, f"import from {module}"
+        if in_core and "xmlstream" in module.split("."):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, f"{module}.{alias.name}"
 
 
 def violations(package: str) -> List[str]:
@@ -62,7 +91,10 @@ def violations(package: str) -> List[str]:
                 continue
             with open(path, encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), filename=path)
-            for line, name in sorted(_references(tree)):
+            references = list(_references(tree))
+            in_core = relative.split(os.sep)[0] == "core"
+            references.extend(_driver_imports(tree, in_core, relative in DRIVERS))
+            for line, name in sorted(references):
                 found.append(f"{relative}:{line}: {name}")
     return found
 
@@ -75,13 +107,14 @@ def main(argv: List[str] | None = None) -> int:
     if found:
         print(
             "FAIL: transition internals referenced outside core/transitions.py "
-            "and core/stack.py — call the process_* functions instead:",
+            "and core/stack.py (call the process_* functions instead), or a "
+            "driver outside engine.py / multi.py / fastpath.py:",
             file=sys.stderr,
         )
         for entry in found:
             print(f"  {entry}", file=sys.stderr)
         return 1
-    print("OK: one transition kernel (core/transitions.py)")
+    print("OK: one transition kernel (core/transitions.py), one driver per input format")
     return 0
 
 
