@@ -12,6 +12,7 @@ The paper reports three kinds of numbers; each has a meter here:
 
 from __future__ import annotations
 
+import gc
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -200,8 +201,12 @@ def measure_run(
         document_bytes = len(sizing_source)
     else:
         document_bytes = document_byte_size(sizing_source)
+    # Collect before each timed pass, so a full collection of whatever
+    # earlier work left on the heap does not land inside one of them.
+    gc.collect()
     parse_seconds, _ = time_parse_only(make_source(), parser=parser)
     peak_memory: Optional[int] = None
+    gc.collect()
     if measure_memory:
         def run() -> Tuple[float, ResultSet, TwigMEvaluator]:
             return time_evaluation(query, make_source(), parser=parser)

@@ -55,8 +55,6 @@ from ..xmlstream.reader import IncrementalByteDecoder
 from ..xmlstream.sax import PARSER_BACKENDS
 from ..xmlstream.tokenizer import StreamTokenizer
 from .checkpoint import encode_spool, engine_state, make_snapshot
-from .engine import TwigMEvaluator
-from .queryindex import QueryRuntime
 from .results import Match, Solution
 
 __all__ = [
@@ -807,12 +805,7 @@ class DocumentStreamSession:
 
     def feed_text(self, chunk: str) -> List[Match]:
         """Feed concatenated-document text; returns completed pairs."""
-        self._check_open()
-        if self._scanner is None:
-            raise EngineError(
-                "feed_text/feed_bytes need framing='auto'; this session is "
-                "length-framed (use feed_framed or feed_document)"
-            )
+        self._check_auto_framing()
         self.bytes_fed += len(chunk)
         pairs: List[Match] = []
         for segment, completed in self._scanner.feed(chunk):
@@ -821,12 +814,7 @@ class DocumentStreamSession:
 
     def feed_bytes(self, chunk: bytes) -> List[Match]:
         """Feed concatenated-document bytes (UTF-8 or ``encoding``)."""
-        self._check_open()
-        if self._scanner is None:
-            raise EngineError(
-                "feed_text/feed_bytes need framing='auto'; this session is "
-                "length-framed (use feed_framed or feed_document)"
-            )
+        self._check_auto_framing()
         if self._byte_decoder is None:
             self._byte_decoder = IncrementalByteDecoder(self._encoding)
         text = self._byte_decoder.decode(chunk)
@@ -979,24 +967,10 @@ class DocumentStreamSession:
         from .multi import Subscription
 
         engine = self._engine
-        if name is None:
-            while True:
-                name = f"q{engine._auto_name_counter}"
-                engine._auto_name_counter += 1
-                if name not in engine._subscriptions:
-                    break
-        elif name in engine._subscriptions:
-            raise EngineError(f"a subscription named {name!r} already exists")
+        name = engine._claim_name(name)
         source = query if isinstance(query, str) else query.source
         compiled = shared_compiled_cache.acquire(query)
-        try:
-            evaluator = TwigMEvaluator(
-                compiled.tree, collect_statistics=engine._collect_statistics
-            )
-        except Exception:
-            shared_compiled_cache.release(compiled)
-            raise
-        runtime = QueryRuntime(compiled, evaluator)
+        runtime = engine._new_runtime(compiled)
         adapted: Optional[Callable[[Solution], None]] = callback
         if callback is not None and self._callback_adapter is not None:
             adapted = self._callback_adapter(name, callback)
@@ -1038,6 +1012,14 @@ class DocumentStreamSession:
             raise EngineError("stream session aborted by an earlier error")
         if self._closed:
             raise EngineError("stream session already closed")
+
+    def _check_auto_framing(self) -> None:
+        self._check_open()
+        if self._scanner is None:
+            raise EngineError(
+                "feed_text/feed_bytes need framing='auto'; this session is "
+                "length-framed (use feed_framed or feed_document)"
+            )
 
     def _begin_document(self) -> None:
         if self.parser == "expat":
@@ -1086,28 +1068,28 @@ class DocumentStreamSession:
     def _push_events(self, events: List[Event], pairs: List[Match]) -> None:
         if not events:
             return
-        engine = self._engine
-        push = engine.push
-        matched = 0
+        run = self._engine._kernel.run
+        before = len(pairs)
         elements = 0
         countdown = self._sample_countdown
         peak = self._window_peak_live
-        for event in events:
-            cls = event.__class__
-            if cls is StartElement:
+        done = 0
+        for at, event in enumerate(events):
+            if event.__class__ is StartElement:
                 elements += 1
                 countdown -= 1
                 if countdown <= 0:
+                    # Sample live entries just before this start tag runs.
                     countdown = self._sample_interval
+                    run(events[done:at], pairs)
+                    done = at
                     live = self.live_entries()
                     if live > peak:
                         peak = live
-            emitted = push(event)
-            if emitted:
-                matched += len(emitted)
-                pairs.extend(emitted)
+        run(events[done:] if done else events, pairs)
         self._sample_countdown = countdown
         self._window_peak_live = peak
+        matched = len(pairs) - before
         self.total_matches += matched
         self._window_matches += matched
         if self._spool is not None:
@@ -1132,27 +1114,11 @@ class DocumentStreamSession:
         self._doc_spool = None
         if self._spool is not None:
             self._spool.seal_document()
-        self._soft_reset()
+        # Unlike engine.reset(), keeps every subscription's delivered count
+        # (the stream-global delivery history is the point of the session).
+        self._engine._kernel.reset()
         if self._window_docs >= self.window_documents:
             self._seal_window()
-
-    def _soft_reset(self) -> None:
-        """Reset per-document machine state, keeping subscriptions alive.
-
-        Unlike ``engine.reset()`` this preserves every subscription's
-        ``delivered`` counter — the stream-global delivery history is the
-        point of an unbounded session.  Machines drop their stacks,
-        candidates and collected solutions (pooled stack entries return to
-        the free list), and the engine returns to its between-documents
-        position, so a subscriber added here may share a machine again.
-        """
-        engine = self._engine
-        for runtime in engine._index.runtimes:
-            runtime.reset()
-        del engine._index.context[:]
-        engine._element_order = 0
-        engine._started = False
-        engine._finished = False
 
     def _abandon_document(self) -> None:
         self.documents_failed += 1
@@ -1162,7 +1128,7 @@ class DocumentStreamSession:
             self._spool.abort_document()
         self._frame_buffer.clear()
         self._frame_expected = None
-        self._soft_reset()
+        self._engine._kernel.reset()
 
     def _handle_parse_error(self, completed: bool) -> None:
         self._abandon_document()

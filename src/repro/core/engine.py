@@ -25,12 +25,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Union
 from ..errors import StreamStateError
 from ..xmlstream.events import (
     Characters,
-    Comment,
-    EndDocument,
     EndElement,
     Event,
-    ProcessingInstruction,
-    StartDocument,
     StartElement,
     as_event_iterable,
 )
@@ -39,16 +35,12 @@ from ..xmlstream.sax import event_batches, iter_events
 from ..xmlstream.serializer import serialize_events
 from ..xpath.ast import QueryTree
 from .builder import build_machine
-from .fastpath import FusedExpatDriver, StreamShape, fused_pure_multi_evaluate
+from .fastpath import FusedExpatDriver, fused_pure_multi_evaluate
+from .kernel import Kernel
 from .machine import TwigMachine
 from .queryindex import InterestSets
 from .results import ResultCollector, ResultSet, Solution
 from .statistics import EngineStatistics
-from .transitions import (
-    process_characters,
-    process_end_element,
-    process_start_element,
-)
 
 
 class TwigMEvaluator:
@@ -97,6 +89,8 @@ class TwigMEvaluator:
         self._element_order = 0
         self._finished = False
         self._started = False
+        #: The event-record kernel, made by :meth:`_records`.
+        self._kernel: Optional[Kernel] = None
         # Fragment capture state: one event buffer per open potential solution
         # element, keyed by that element's pre-order index.
         self._capture_buffers: Dict[int, List[Event]] = {}
@@ -106,105 +100,13 @@ class TwigMEvaluator:
     # ------------------------------------------------------------ push API
 
     def feed(self, event: Event) -> List[Solution]:
-        """Process one event; return solutions that became known with it.
-
-        Dispatch is keyed on the exact event class first (the ``is`` checks
-        below, ordered by stream frequency) with an ``isinstance`` ladder as
-        the fallback for subclassed events; per-event isinstance chains were
-        ~40% of the seed engine's runtime.
-        """
+        """Process one event; return solutions that became known with it."""
         if self._finished:
             raise StreamStateError("evaluator already finished; call reset() first")
-        statistics = self.statistics if self.collect_statistics else None
-        if statistics is not None:
-            statistics.events += 1
-        cls = event.__class__
-        if cls is StartElement:
-            self._started = True
-            order = self._element_order
-            self._element_order = order + 1
-            if self.capture_fragments:
-                self._capture_start(event, order)
-            process_start_element(
-                self.machine,
-                event.name,
-                event.level,
-                event.attributes,
-                event.line,
-                order,
-                statistics,
-            )
-            return []
-        if cls is EndElement:
-            if self.capture_fragments:
-                self._capture_end(event)
-            return process_end_element(
-                self.machine,
-                event.name,
-                event.level,
-                statistics,
-                self.collector,
-                fragments=self._fragments if self.capture_fragments else None,
-                eager_emission=self.eager_emission,
-            )
-        if cls is Characters:
-            if self.capture_fragments:
-                self._capture_event(event)
-            process_characters(self.machine, event.text, event.level, statistics)
-            return []
-        return self._feed_uncommon(event, statistics)
-
-    def _feed_uncommon(
-        self, event: Event, statistics: Optional[EngineStatistics]
-    ) -> List[Solution]:
-        """Slow-path dispatch for rare event kinds and event subclasses."""
-        if isinstance(event, StartDocument):
-            self._started = True
-            return []
-        if isinstance(event, StartElement):
-            self._started = True
-            order = self._element_order
-            self._element_order = order + 1
-            if self.capture_fragments:
-                self._capture_start(event, order)
-            process_start_element(
-                self.machine,
-                event.name,
-                event.level,
-                event.attributes,
-                event.line,
-                order,
-                statistics,
-            )
-            return []
-        if isinstance(event, Characters):
-            if self.capture_fragments:
-                self._capture_event(event)
-            process_characters(self.machine, event.text, event.level, statistics)
-            return []
-        if isinstance(event, EndElement):
-            if self.capture_fragments:
-                self._capture_end(event)
-            return process_end_element(
-                self.machine,
-                event.name,
-                event.level,
-                statistics,
-                self.collector,
-                fragments=self._fragments if self.capture_fragments else None,
-                eager_emission=self.eager_emission,
-            )
-        if isinstance(event, EndDocument):
-            self._finished = True
-            if not self.machine.stacks_empty():
-                raise StreamStateError(
-                    "machine stacks are not empty at end of document; "
-                    "the event stream was not well-nested"
-                )
-            return []
-        if isinstance(event, (Comment, ProcessingInstruction)):
-            return []
-        raise StreamStateError(f"unknown event type {type(event).__name__}")
+        kernel = self._kernel or self._records()
+        if self.capture_fragments:
+            self._capture(event, self._element_order)
+        return kernel.run((event,), [])
 
     def finish(self) -> ResultSet:
         """Declare the stream complete and return the accumulated result set."""
@@ -224,6 +126,7 @@ class TwigMEvaluator:
         self._element_order = 0
         self._finished = False
         self._started = False
+        self._kernel = None
         self._capture_buffers.clear()
         self._capture_levels.clear()
         self._fragments.clear()
@@ -239,9 +142,21 @@ class TwigMEvaluator:
         """Yield solutions incrementally while consuming ``source``.
 
         ``source`` may be anything :func:`repro.xmlstream.iter_events`
-        accepts, or an already-produced iterable of events.
+        accepts, or an already-produced iterable of events.  A document
+        source runs one parsed chunk's event batch at a time through the
+        kernel (fragment capture, event by event).
         """
-        for event in self._events_for(source, parser, chunk_size):
+        events = as_event_iterable(source)
+        if events is None and not self.capture_fragments:
+            run = (self._kernel or self._records()).run
+            for batch in event_batches(source, parser=parser, chunk_size=chunk_size):
+                solutions = run(batch, [])
+                if solutions:
+                    yield from solutions
+            return
+        if events is None:
+            events = iter_events(source, parser=parser, chunk_size=chunk_size)
+        for event in events:
             solutions = self.feed(event)
             if solutions:
                 yield from solutions
@@ -255,21 +170,19 @@ class TwigMEvaluator:
         """Evaluate the query over a complete document and return all solutions.
 
         Unlike :meth:`stream`, this uses the fused fast paths from
-        :mod:`repro.core.fastpath` whenever possible — a bulk scan that
-        drives the TwigM transitions with no event objects at all — and
-        otherwise consumes the parser's event *batches* directly (one list
-        per fed chunk) with inline class dispatch, so neither generator
-        machinery nor a per-event ``feed`` call sits between the tokenizer
-        and the transition functions.
+        :mod:`repro.core.fastpath` whenever possible — a bulk scan or the
+        expat callbacks driving the kernel with no event objects at all —
+        and otherwise runs :meth:`stream`.
         """
         fresh = (
             not self.capture_fragments
             and not self._started
             and not self._finished
             and self._element_order == 0
-            and not _is_event_iterable(source)
+            and as_event_iterable(source) is None
         )
         if fresh:
+            kernel = Kernel(_OneEntryIndex(self), self)
             if (
                 parser in ("native", "pure")
                 and isinstance(source, str)
@@ -278,17 +191,16 @@ class TwigMEvaluator:
                 # Complete in-memory document: the multi-query scan over a
                 # one-entry index.  The collector already holds every
                 # solution, so the delivery sink keeps nothing.
-                shape = fused_pure_multi_evaluate(
-                    _OneEntryIndex(self), source, deque(maxlen=0)
-                )
+                shape = fused_pure_multi_evaluate(kernel, source, deque(maxlen=0))
                 if shape is not None:
-                    return self._finish_fused(shape)
+                    kernel.finish(shape[0], shape)
+                    return self.finish()
                 # Construct the fast scan could not handle (or a syntax
                 # error): reset the partial state and replay through the
                 # event pipeline, which reproduces the canonical behaviour.
                 self.reset()
             elif parser == "expat":
-                driver = FusedExpatDriver(_OneEntryIndex(self))
+                driver = FusedExpatDriver(kernel)
                 reader = StreamReader(source, chunk_size=chunk_size)
                 try:
                     driver.run(reader.raw_chunks())
@@ -297,167 +209,84 @@ class TwigMEvaluator:
                     # see this failed run's partial stacks or solutions.
                     self.reset()
                     raise
-                return self._finish_fused(driver.shape)
-        if _is_event_iterable(source):
-            feed = self.feed
-            for event in source:
-                feed(event)
-            return self.finish()
+                kernel.finish(driver.element_count, driver.shape)
+                return self.finish()
+        for _ in self.stream(source, parser=parser, chunk_size=chunk_size):
+            pass
+        return self.finish()
+
+    def _records(self) -> Kernel:
+        """The kernel event records drive, made at the first record after
+        construction or :meth:`reset` (its index holds the statistics and
+        collector that reset replaces)."""
+        kernel = self._kernel = Kernel(_OneEntryIndex(self, every_tag=True), self)
         if self.capture_fragments:
-            feed = self.feed
-            for batch in event_batches(source, parser=parser, chunk_size=chunk_size):
-                for event in batch:
-                    feed(event)
-            return self.finish()
-        # Bulk fast path: locals for everything touched per event.
-        machine = self.machine
-        statistics = self.statistics if self.collect_statistics else None
-        collector = self.collector
-        eager = self.eager_emission
-        order = self._element_order
-        has_text_nodes = bool(machine.text_nodes)
-        start_element = StartElement
-        end_element = EndElement
-        characters = Characters
-        try:
-            for batch in event_batches(source, parser=parser, chunk_size=chunk_size):
-                if self._finished:
-                    raise StreamStateError(
-                        "evaluator already finished; call reset() first"
-                    )
-                if statistics is not None:
-                    statistics.events += len(batch)
-                for event in batch:
-                    cls = event.__class__
-                    if cls is start_element:
-                        process_start_element(
-                            machine,
-                            event.name,
-                            event.level,
-                            event.attributes,
-                            event.line,
-                            order,
-                            statistics,
-                        )
-                        order += 1
-                    elif cls is end_element:
-                        process_end_element(
-                            machine, event.name, event.level, statistics, collector,
-                            fragments=None, eager_emission=eager,
-                        )
-                    elif cls is characters:
-                        if has_text_nodes:
-                            process_characters(
-                                machine, event.text, event.level, statistics
-                            )
-                        elif statistics is not None:
-                            statistics.text_chunks += 1
-                    else:
-                        self._element_order = order
-                        self._feed_uncommon(event, statistics)
-                        order = self._element_order
-        finally:
-            self._element_order = order
-        return self.finish()
-
-    # ------------------------------------------------------------ internals
-
-    def _finish_fused(self, shape: StreamShape) -> ResultSet:
-        """Record a fused run's stream counters the way the event pipeline
-        counts them, and finish."""
-        elements, attributes, max_depth, text_runs, misc_events = shape
-        if self.collect_statistics:
-            statistics = self.statistics
-            statistics.elements = elements
-            statistics.attributes = attributes
-            statistics.max_depth = max_depth
-            statistics.text_chunks = text_runs
-            # StartDocument + EndDocument + one start and one end per
-            # element + text runs + comments/PIs.
-            statistics.events = 2 + 2 * elements + text_runs + misc_events
-        self._element_order = elements
-        self._started = True
-        self._finished = True
-        return self.finish()
-
-    @staticmethod
-    def _events_for(
-        source: Union[TextSource, Iterable[Event]],
-        parser: str,
-        chunk_size: int,
-    ) -> Iterable[Event]:
-        if _is_event_iterable(source):
-            return source  # type: ignore[return-value]
-        return iter_events(source, parser=parser, chunk_size=chunk_size)
+            kernel.fragments = self._fragments
+        return kernel
 
     # -- fragment capture ---------------------------------------------------
 
-    def _wants_capture(self, tag: str) -> bool:
-        for node in self.machine.nodes_matching(tag):
-            if node.is_output:
-                return True
-        return False
-
-    def _capture_start(self, event: StartElement, order: int) -> None:
-        self._capture_event(event)
-        if self._wants_capture(event.name):
-            self._capture_buffers[order] = [event]
-            self._capture_levels[order] = event.level
-
-    def _capture_event(self, event: Event) -> None:
-        for buffer in self._capture_buffers.values():
+    def _capture(self, event: Event, order: int) -> None:
+        """Buffer ``event`` into every open potential solution element's
+        fragment; open a buffer at a start tag the machine may output and
+        serialize the buffers an end tag completes."""
+        if not isinstance(event, (StartElement, EndElement, Characters)):
+            return
+        buffers = self._capture_buffers
+        for buffer in buffers.values():
             if buffer and buffer[-1] is not event:
                 buffer.append(event)
-
-    def _capture_end(self, event: EndElement) -> None:
-        self._capture_event(event)
-        completed = [
-            order
-            for order, level in self._capture_levels.items()
-            if level == event.level
-        ]
-        for order in completed:
-            buffer = self._capture_buffers.pop(order)
-            del self._capture_levels[order]
-            self._fragments[order] = serialize_events(buffer)
+        if isinstance(event, StartElement):
+            if any(node.is_output for node in self.machine.nodes_matching(event.name)):
+                buffers[order] = [event]
+                self._capture_levels[order] = event.level
+        elif isinstance(event, EndElement):
+            levels = self._capture_levels
+            for start in [start for start, level in levels.items() if level == event.level]:
+                del levels[start]
+                self._fragments[start] = serialize_events(buffers.pop(start))
 
 
 class _OneEntryIndex:
     """A :class:`TwigMEvaluator` seen as a one-runtime query index.
 
-    Carries just what the fused drivers of :mod:`repro.core.fastpath` read
-    of an index and its runtimes, so the single-query engine runs the
-    multi-query pure scan and expat driver: the evaluator's machine is the
-    only runtime, dispatched every tag its machine has nodes for.  Its
-    collector already holds every solution, so delivery is a no-op, and
-    with no family runtime to read an ancestor chain it keeps none.
+    Carries just what the :class:`~repro.core.kernel.Kernel` reads of an
+    index and its runtimes, so the single-query engine runs the multi-query
+    kernel and its drivers: the evaluator's machine is the only runtime.
+    The fused scans dispatch it the tags its machine has nodes for; the
+    event pipeline (``every_tag``) dispatches it every tag and every text
+    run, because the single-query statistics count the whole stream.  Its
+    collector already holds every solution, so delivery only hands the
+    solutions to the caller, and with no family runtime to read an ancestor
+    chain it keeps none.
     """
 
     is_family = False
     context = None
 
-    def __init__(self, evaluator: TwigMEvaluator) -> None:
+    def __init__(self, evaluator: TwigMEvaluator, every_tag: bool = False) -> None:
+        self.evaluator = evaluator
         self.machine = evaluator.machine
         self.statistics = (
             evaluator.statistics if evaluator.collect_statistics else None
         )
         self.collector = evaluator.collector
         self.eager = evaluator.eager_emission
+        self.runtimes = [self]
+        self._every_tag = every_tag
         self.dispatch = InterestSets(self._interest).__getitem__
 
     def _interest(self, name: str) -> List["_OneEntryIndex"]:
-        return [self] if self.machine.nodes_matching(name) else []
+        if self._every_tag or self.machine.nodes_matching(name):
+            return self.runtimes
+        return []
 
     def text_runtimes(self) -> List["_OneEntryIndex"]:
-        return [self] if self.machine.text_nodes else []
+        return self.runtimes if self._every_tag or self.machine.text_nodes else []
 
     def deliver(self, solutions: List[Solution], emitted=None) -> None:
-        pass
-
-
-def _is_event_iterable(source) -> bool:
-    """Shared sniffing rule: see :func:`repro.xmlstream.events.as_event_iterable`."""
-    return as_event_iterable(source) is not None
+        if emitted is not None:
+            emitted.extend(solutions)
 
 
 def evaluate(

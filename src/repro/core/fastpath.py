@@ -1,19 +1,16 @@
-"""Fused streaming fast paths: scan + TwigM transitions with no event objects.
+"""Fused streaming sources: scan or expat callbacks straight into the kernel.
 
-The general pipeline materialises one event object per markup construct and
-dispatches it through :meth:`TwigMEvaluator.feed`.  That is the right shape
-for the push API, for fragment capture and for incremental solution
-streaming — but for the dominant ``evaluate(document)`` call it spends a
-large fraction of the per-element budget on allocating, dispatching and
-unpacking event tuples.
-
-Every driver here runs start and end tags through the scalar transition
-functions of :mod:`repro.core.transitions` (the paper's §3.2); none keeps a
-private copy of them (``tools/check_single_kernel.py`` enforces that).
-There is one per input format, and both hand each tag to the runtimes an
-index dispatches it to: :class:`MultiQueryEvaluator` passes its
-:class:`~repro.core.queryindex.QueryIndex`, :class:`TwigMEvaluator` passes
-itself as a one-entry index.
+The event pipeline materialises one event object per markup construct.
+That is the right shape for the push API, fragment capture and event
+frames, but for ``evaluate(document)`` it spends much of the per-element
+budget on allocating and unpacking event tuples.  The two fused sources
+here hand tags straight to a :class:`~repro.core.kernel.Kernel`, the one
+code that runs the transitions of :mod:`repro.core.transitions`; they keep
+only tokenising, well-formedness checks, line numbers and — in locals, so
+an undispatched tag costs no call — pre-order, depth and the ancestor
+chain.  Both engines use them: :class:`MultiQueryEvaluator` over its
+:class:`~repro.core.queryindex.QueryIndex`, :class:`TwigMEvaluator` over a
+one-entry index.
 
 * :func:`fused_pure_multi_evaluate` — the one pure scan, behind both
   engines' ``evaluate()`` on in-memory ``str`` documents, where chunking
@@ -32,10 +29,8 @@ itself as a one-entry index.
   (session) mode.  Works for any (possibly streaming) source and keeps
   expat's constant-memory behaviour.
 
-Statistics follow the per-subscription semantics documented in
-:mod:`repro.core.multi`.  Both drivers also report the stream-level counts
-(:data:`StreamShape`), from which the single-query engine records the event
-pipeline's counters exactly.
+Both also report the stream-level counts (:data:`StreamShape`), from which
+the single-query engine records the event pipeline's counters exactly.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ from ..xmlstream.tokenizer import (
     memoise_start_tag,
     parse_attribute_string,
 )
-from .transitions import process_end_element, process_start_element
 
 #: What a driver saw of the stream: ``(elements, attributes, max_depth,
 #: text_runs, misc_events)`` — text runs coalesced the way the event
@@ -89,59 +83,51 @@ def _scan_misc(doc: str, lt: int) -> Optional[Tuple[int, bool, Optional[str]]]:
     return None
 
 
-def _append_text(text_nodes, text: str, level: int) -> None:
-    """Hand one run of character data to the entries that collect text."""
-    for machine_node in text_nodes:
-        for entry in machine_node.stack.entries:
-            if entry.string_parts is not None:
-                entry.string_parts.append(text)
-            if entry.direct_parts is not None and level == entry.level:
-                entry.direct_parts.append(text)
-
-
 # ---------------------------------------------------------------------------
 # The pure scan: one bulk scan, label-dispatched runtimes
 # ---------------------------------------------------------------------------
 
 
 def fused_pure_multi_evaluate(
-    index, document: str, deliveries: MutableSequence
+    kernel, document: str, deliveries: MutableSequence
 ) -> Optional[StreamShape]:
-    """Evaluate every indexed runtime over one bulk scan of ``document``.
+    """Run every indexed runtime over one bulk scan of ``document``.
 
-    ``index`` is a :class:`~repro.core.queryindex.QueryIndex`, or anything
-    offering the members the scan reads (``dispatch``, ``text_runtimes``,
-    ``context`` — the ancestor chain, or ``None``; runtimes with
-    ``machine``, ``statistics``, ``collector``, ``eager``, ``is_family``).
-    ``deliveries`` receives ``(runtime,
-    solutions)`` pairs in emission order.  Deliveries are *buffered* rather
-    than fanned out immediately: when the scan bails out (returns ``None``)
-    the caller resets the machines and replays through the event pipeline,
-    and buffering guarantees no subscriber callback fires twice.  A caller
-    with no subscribers to fan out to passes a sink that keeps nothing.
+    ``kernel`` is the :class:`~repro.core.kernel.Kernel` over the engine's
+    index.  ``deliveries`` receives ``(runtime, solutions)`` pairs in
+    emission order (:meth:`Kernel.deliver` hands them out).  Deliveries are
+    *buffered* rather than fanned out immediately: when the scan bails out
+    (returns ``None``) the caller resets the machines and replays through
+    the event pipeline, and buffering guarantees no subscriber callback
+    fires twice.  A caller with no subscribers to fan out to passes a sink
+    that keeps nothing.
 
     Returns the :data:`StreamShape` on success, or ``None`` when the
     document needs the general pipeline.
     """
+    kernel.deliveries = deliveries
     try:
-        return _fused_pure_multi_scan(index, document, deliveries)
+        return _fused_pure_multi_scan(kernel, document)
     except XMLSyntaxError:
         # Entity/attribute errors raised mid-scan: let the event pipeline
         # re-derive the canonical error message and line number.
         return None
+    finally:
+        kernel.deliveries = None
 
 
-def _fused_pure_multi_scan(
-    index, doc: str, deliveries: MutableSequence
-) -> Optional[StreamShape]:
+def _fused_pure_multi_scan(kernel, doc: str) -> Optional[StreamShape]:
     n = len(doc)
     find = doc.find
     count = doc.count
     startswith = doc.startswith
     start_match = START_TAG_RE.match
     end_match = END_TAG_RE.match
-    dispatch = index.dispatch
-    text_runtimes = index.text_runtimes()
+    dispatch = kernel.dispatch
+    start_element = kernel.start
+    end_element = kernel.end
+    add_text = kernel.text
+    text_runtimes = kernel.index.text_runtimes()
     need_text = bool(text_runtimes)
     has_entities = "&" in doc
     # Per-call tag memo: raw start tag -> (name, attributes, empty,
@@ -157,7 +143,7 @@ def _fused_pure_multi_scan(
     # end-element dispatch, not before.  ``open_tags`` shadows it with one
     # memo entry per open element (built on a miss even when it cannot be
     # stored), so an end tag needs no lookup.
-    open_elements = index.context
+    open_elements = kernel.context
     if open_elements is None:
         open_elements = []
     del open_elements[:]
@@ -179,17 +165,6 @@ def _fused_pure_multi_scan(
     attribute_count = 0
     max_depth = 0
 
-    def end_element(name: str, level: int, runtimes) -> None:
-        for runtime in runtimes:
-            solutions = process_end_element(
-                runtime.machine, name, level, runtime.statistics,
-                runtime.collector, eager_emission=runtime.eager,
-            )
-            if solutions:
-                if runtime.is_family:
-                    runtime.resolve(solutions)
-                deliveries.append((runtime, solutions))
-
     while index_pos < n:
         lt = find("<", index_pos)
         if lt == -1:
@@ -202,9 +177,7 @@ def _fused_pure_multi_scan(
                     text = doc[index_pos:lt]
                     if "&" in text:
                         text = decode_entities(text)
-                    level = len(open_elements)
-                    for runtime in text_runtimes:
-                        _append_text(runtime.machine.text_nodes, text, level)
+                    add_text(text_runtimes, text, len(open_elements))
                 # Text content is irrelevant to every runtime; validate
                 # entity references without materialising the slice unless
                 # one is present.
@@ -230,7 +203,7 @@ def _fused_pure_multi_scan(
                 pending_text = False
                 text_runs += 1
             if runtimes:
-                end_element(name, len(open_tags), runtimes)
+                end_element(runtimes, name, len(open_tags))
             open_tags.pop()
             open_elements.pop()
             if not open_tags:
@@ -278,14 +251,11 @@ def _fused_pure_multi_scan(
                 # The line the tag begins on, as expat reports it.
                 line += count("\n", line_pos, lt)
                 line_pos = lt
-                for runtime in runtimes:
-                    process_start_element(
-                        runtime.machine, name, level, attributes, line,
-                        order, runtime.statistics,
-                    )
+                start_element(runtimes, name, level, attributes, line, order)
             order += 1
             if empty:
-                end_element(name, level, runtimes)
+                if runtimes:
+                    end_element(runtimes, name, level)
                 open_tags.pop()
                 open_elements.pop()
                 if level == 1:
@@ -307,19 +277,15 @@ def _fused_pure_multi_scan(
                 if cdata.strip():
                     return None  # CDATA outside the root element
             else:
-                level = len(open_elements)
-                for runtime in text_runtimes:
-                    _append_text(runtime.machine.text_nodes, cdata, level)
+                if need_text:
+                    add_text(text_runtimes, cdata, len(open_elements))
                 pending_text = True
 
     if open_elements or not order:
         return None  # unclosed element / no root -> replay for exact error
     # Every text run reached the text-collecting runtimes, and only them
     # (the indexed feed path dispatches text events to those alone).
-    for runtime in text_runtimes:
-        statistics = runtime.statistics
-        if statistics is not None:
-            statistics.text_chunks += text_runs
+    kernel.text_runs(text_runtimes, text_runs)
     return order, attribute_count, max_depth, text_runs, misc_events
 
 
@@ -329,32 +295,30 @@ def _fused_pure_multi_scan(
 
 
 class FusedExpatDriver:
-    """Drive the indexed runtimes straight from expat callbacks.
+    """Drive a kernel straight from expat callbacks.
 
     The expat analogue of :func:`fused_pure_multi_evaluate`, over the same
-    kind of index: each callback consults the label-dispatch index and calls
-    the scalar transition functions only for interested machines, with no
-    event objects in between.  Unlike the pure scan, solutions are delivered
-    (fanned out to subscribers) immediately as they are found — expat
-    either completes or raises, there is no replay, so immediate delivery
-    matches the incremental semantics of the event pipeline.  The driver
-    also counts the stream's :data:`StreamShape` (:attr:`shape`), from which
-    the single-query engine records the event pipeline's counters.
+    kind of kernel: each callback consults the label-dispatch index and
+    hands interested runtimes to the kernel, with no event objects in
+    between.  Unlike the pure scan, solutions are delivered (fanned out to
+    subscribers, and appended to the kernel's ``emitted`` list when it has
+    one) immediately as they are found — expat either completes or raises,
+    there is no replay, so immediate delivery matches the incremental
+    semantics of the event pipeline.  The driver also counts the stream's
+    :data:`StreamShape` (:attr:`shape`), from which the single-query engine
+    records the event pipeline's counters.
 
     Two driving modes share the callbacks:
 
     * :meth:`run` — the one-shot pull loop used by ``evaluate()``; the
       driver owns the chunk iterable.
-    * ``incremental=True`` + :meth:`feed` / :meth:`finish` — the push
-      (session) mode: the *caller* owns the read loop and hands chunks to
-      ``Parse(chunk, 0)`` as they arrive.  Delivered pairs are buffered on
-      :attr:`emitted` (fan-out still happens immediately; the buffer is how
-      the session returns pairs per chunk).  Subscriptions may be added
-      between chunks, so the cached text-runtime list is refreshed at each
-      chunk boundary.
+    * :meth:`feed` / :meth:`finish` — the push (session) mode: the *caller*
+      owns the read loop and hands chunks to ``Parse(chunk, 0)`` as they
+      arrive.  Subscriptions may be added between chunks, so the cached
+      text-runtime list is refreshed at each chunk boundary.
     """
 
-    def __init__(self, index, incremental: bool = False) -> None:
+    def __init__(self, kernel) -> None:
         parser = expat.ParserCreate()
         parser.buffer_text = True
         parser.ordered_attributes = True
@@ -364,14 +328,17 @@ class FusedExpatDriver:
         parser.CommentHandler = self._misc
         parser.ProcessingInstructionHandler = self._misc
         self._parser = parser
-        self._index = index
-        self._dispatch = index.dispatch
-        self._text_runtimes = index.text_runtimes()
+        self._kernel = kernel
+        self._dispatch = kernel.dispatch
+        self._start = kernel.start
+        self._end = kernel.end
+        self._text = kernel.text
+        self._text_runtimes = kernel.index.text_runtimes()
         #: The index's live ancestor chain (family residual checks read it
         #: at emission time), or ``None`` when the index keeps none.  On a
         #: mid-stream restore the chain comes back with the engine state,
         #: matching the primed parser position.
-        self._context = index.context
+        self._context = kernel.context
         self._level = 0
         self._order = 0
         self._pending_text = False
@@ -380,8 +347,6 @@ class FusedExpatDriver:
         self._max_depth = 0
         self._text_runs = 0
         self._misc_events = 0
-        #: Pairs delivered since the caller last drained (incremental mode).
-        self.emitted: Optional[List] = [] if incremental else None
 
     @property
     def element_count(self) -> int:
@@ -404,16 +369,17 @@ class FusedExpatDriver:
 
     def feed(self, chunk) -> None:
         """Push one str/bytes chunk through ``Parse(chunk, 0)``."""
-        self._text_runtimes = self._index.text_runtimes()
+        self._text_runtimes = self._kernel.index.text_runtimes()
         if isinstance(chunk, bytes):
             self._fed_bytes = True
         self._parse(chunk, False)
 
     def finish(self) -> None:
         """Signal end of input (``Parse(_, 1)``) and flush pending text."""
-        self._text_runtimes = self._index.text_runtimes()
+        self._text_runtimes = self._kernel.index.text_runtimes()
         self._parse(b"" if self._fed_bytes else "", True)
-        self._flush_pending()
+        if self._pending_text:
+            self._flush_pending()
 
     def _parse(self, data, final: bool) -> None:
         try:
@@ -489,19 +455,13 @@ class FusedExpatDriver:
         self._order = state["order"]
         self._pending_text = state["pending_text"]
         self._fed_bytes = state["fed_bytes"]
-        if self.emitted:
-            self.emitted.clear()
 
     # ------------------------------------------------------ expat callbacks
 
     def _flush_pending(self) -> None:
-        if self._pending_text:
-            self._pending_text = False
-            self._text_runs += 1
-            for runtime in self._text_runtimes:
-                statistics = runtime.statistics
-                if statistics is not None:
-                    statistics.text_chunks += 1
+        self._pending_text = False
+        self._text_runs += 1
+        self._kernel.text_runs(self._text_runtimes, 1)
 
     def _start_element(self, name: str, attributes: List[str]) -> None:
         if self._pending_text:
@@ -520,27 +480,20 @@ class FusedExpatDriver:
             self._attributes += len(attributes) >> 1
         runtimes = self._dispatch(name)
         if runtimes:
-            pairs = tuple(zip(attributes[0::2], attributes[1::2])) if attributes else ()
-            line = self._parser.CurrentLineNumber
-            for runtime in runtimes:
-                process_start_element(
-                    runtime.machine, name, level, pairs, line, order,
-                    runtime.statistics,
-                )
+            self._start(
+                runtimes, name, level,
+                tuple(zip(attributes[0::2], attributes[1::2])) if attributes else (),
+                self._parser.CurrentLineNumber, order,
+            )
 
     def _end_element(self, name: str) -> None:
         if self._pending_text:
             self._flush_pending()
         level = self._level
         self._level = level - 1
-        emitted = self.emitted
-        for runtime in self._dispatch(name):
-            solutions = process_end_element(
-                runtime.machine, name, level, runtime.statistics,
-                runtime.collector, eager_emission=runtime.eager,
-            )
-            if solutions:
-                runtime.deliver(solutions, emitted)
+        runtimes = self._dispatch(name)
+        if runtimes:
+            self._end(runtimes, name, level)
         # Truncate *after* dispatch: family runtimes resolve residual paths
         # against the chain of the element being closed.
         context = self._context
@@ -552,8 +505,8 @@ class FusedExpatDriver:
         if level <= 0:
             return
         self._pending_text = True
-        for runtime in self._text_runtimes:
-            _append_text(runtime.machine.text_nodes, data, level)
+        if self._text_runtimes:
+            self._text(self._text_runtimes, data, level)
 
     def _misc(self, *args) -> None:
         if self._pending_text:

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 
 from ..xpath.ast import (
     Axis,
-    NodeKind,
     QueryNode,
     QueryTree,
     SelfTextAtom,
@@ -248,8 +247,3 @@ def node_needs_string_value(query_node: QueryNode) -> bool:
     return any(
         isinstance(atom, SelfTextAtom) for atom in formula_atoms(query_node.formula)
     )
-
-
-def is_element_node(query_node: QueryNode) -> bool:
-    """True for query nodes that bind to elements (and therefore need stacks)."""
-    return query_node.kind is NodeKind.ELEMENT

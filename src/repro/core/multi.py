@@ -32,9 +32,11 @@ dozen subscriptions, should not even *dispatch* every event to every query.
    and per-event cost is O(matching machines), not O(registered queries).
    Character data reaches only text-collecting machines.
 
-``evaluate()`` additionally engages fused multi-query fast paths
-(:mod:`repro.core.fastpath`) that drive the dispatch index straight from the
-bulk scanner (pure) or expat callbacks, with no event objects at all.
+Every source drives one :class:`~repro.core.kernel.Kernel` over the index,
+which advances the engine's stream position: :meth:`push` (and the push
+sessions, and event frames) hand it event records, while ``evaluate()`` on a document
+runs the fused sources of :mod:`repro.core.fastpath` — the bulk scanner
+(pure) or expat callbacks — with no event objects at all.
 
 Delivery contract
 -----------------
@@ -109,19 +111,14 @@ if TYPE_CHECKING:  # deferred at runtime: session.py imports this module
     from .session import EventStreamSession
 
 from ..errors import EngineError
-from ..xmlstream.events import (
-    Characters,
-    EndElement,
-    Event,
-    StartElement,
-    as_event_iterable,
-)
+from ..xmlstream.events import Event, as_event_iterable
 from ..xmlstream.reader import DEFAULT_CHUNK_SIZE, StreamReader, TextSource
 from ..xmlstream.sax import event_batches, iter_events
 from ..xpath.ast import QueryTree
 from .builder import shared_compiled_cache, shared_planner
 from .engine import TwigMEvaluator
 from .fastpath import FusedExpatDriver, fused_pure_multi_evaluate
+from .kernel import Kernel
 from .queryindex import (
     FamilyRuntime,
     QueryIndex,
@@ -130,11 +127,6 @@ from .queryindex import (
     trie_path,
 )
 from .results import Match, ResultSet, Solution
-from .transitions import (
-    process_characters,
-    process_end_element,
-    process_start_element,
-)
 
 #: What the engine accepts wherever a query is expected: a source string, a
 #: normalized twig, or (structurally — core never imports the facade) a
@@ -248,11 +240,13 @@ class MultiQueryEvaluator:
         self._auto_name_counter = 0
         #: Global element pre-order counter.  Machines under label dispatch
         #: see only a subset of start tags, so the engine owns the document
-        #: pre-order (the canonical solution identity) and injects it into
-        #: each dispatched evaluator per event.
+        #: pre-order (the canonical solution identity) and its kernel
+        #: injects it into each dispatched evaluator per tag.
         self._element_order = 0
         self._finished = False
         self._started = False
+        #: The one kernel over the index.
+        self._kernel = Kernel(self._index, self)
 
     # ------------------------------------------------------------ setup
 
@@ -295,14 +289,7 @@ class MultiQueryEvaluator:
         """
         if self._finished:
             raise EngineError("cannot register queries after the stream was processed")
-        if name is None:
-            while True:
-                name = f"q{self._auto_name_counter}"
-                self._auto_name_counter += 1
-                if name not in self._subscriptions:
-                    break
-        elif name in self._subscriptions:
-            raise EngineError(f"a subscription named {name!r} already exists")
+        name = self._claim_name(name)
         source = query if isinstance(query, str) else query.source
         compiled = shared_compiled_cache.acquire(query)
         # Machine sharing is only sound between subscriptions that joined at
@@ -319,14 +306,7 @@ class MultiQueryEvaluator:
             return self._subscribe_family(plan, compiled, source, name, callback)
         runtime = self._by_fingerprint.get(compiled.fingerprint) if share else None
         if runtime is None:
-            try:
-                evaluator = TwigMEvaluator(
-                    compiled.tree, collect_statistics=self._collect_statistics
-                )
-            except Exception:
-                shared_compiled_cache.release(compiled)
-                raise
-            runtime = QueryRuntime(compiled, evaluator)
+            runtime = self._new_runtime(compiled)
             if share:
                 self._by_fingerprint[compiled.fingerprint] = runtime
             self._index.add(runtime)
@@ -336,6 +316,29 @@ class MultiQueryEvaluator:
         runtime.subscribers.append(subscription)
         self._subscriptions[name] = subscription
         return subscription
+
+    def _claim_name(self, name: Optional[str]) -> str:
+        """``name``, or the next free ``qN``; refuses a name in use."""
+        while name is None:
+            candidate = f"q{self._auto_name_counter}"
+            self._auto_name_counter += 1
+            if candidate not in self._subscriptions:
+                return candidate
+        if name in self._subscriptions:
+            raise EngineError(f"a subscription named {name!r} already exists")
+        return name
+
+    def _new_runtime(self, compiled) -> QueryRuntime:
+        """A runtime with a machine of its own (``compiled`` is released
+        when building it fails)."""
+        try:
+            evaluator = TwigMEvaluator(
+                compiled.tree, collect_statistics=self._collect_statistics
+            )
+        except Exception:
+            shared_compiled_cache.release(compiled)
+            raise
+        return QueryRuntime(compiled, evaluator)
 
     def _subscribe_family(
         self,
@@ -548,96 +551,7 @@ class MultiQueryEvaluator:
         advancing so a subscriber that joins mid-stream sees canonical
         document-global solution identities for the remainder.
         """
-        emitted: List[Match] = []
-        cls = event.__class__
-        if cls is StartElement or isinstance(event, StartElement):
-            self._start_element(
-                event.position, event.name, event.level, event.attributes, event.line
-            )
-        elif cls is EndElement or isinstance(event, EndElement):
-            self._end_element(
-                emitted, event.position, event.name, event.level, event.line
-            )
-        elif cls is Characters or isinstance(event, Characters):
-            self._characters(event.position, event.text, event.level)
-        else:
-            self._other(emitted, event)
-        return emitted
-
-    # The event handlers behind push(), taking the events' fields in field
-    # order so binary event frames drive them with no event objects in
-    # between (EventStreamSession.feed_frame via EventFrameDecoder.walk).
-    # Each dispatched runtime sees exactly what TwigMEvaluator.feed would do
-    # with the event — subscription evaluators never capture fragments.
-
-    def _start_element(
-        self,
-        position: int,
-        name: str,
-        level: int,
-        attributes: tuple,
-        line: Optional[int],
-    ) -> None:
-        self._started = True
-        # Maintain the live ancestor tag chain for family residual checks.
-        # The level-based truncation self-heals across resets and replays:
-        # the document element (level 1) clears the chain.
-        context = self._index.context
-        del context[level - 1 :]
-        context.append(name)
-        # Inject the *global* pre-order index: a dispatched machine's own
-        # counter would only count the start tags it was shown, breaking the
-        # canonical NodeRef identity shared with single-query runs.
-        order = self._element_order
-        self._element_order = order + 1
-        for runtime in self._index.dispatch(name):
-            statistics = runtime.statistics
-            if statistics is not None:
-                statistics.events += 1
-            evaluator = runtime.evaluator
-            evaluator._started = True
-            evaluator._element_order = order + 1
-            process_start_element(
-                runtime.machine, name, level, attributes, line, order, statistics
-            )
-
-    def _end_element(
-        self,
-        emitted: List[Match],
-        position: int,
-        name: str,
-        level: int,
-        line: Optional[int],
-    ) -> None:
-        self._started = True
-        for runtime in self._index.dispatch(name):
-            statistics = runtime.statistics
-            if statistics is not None:
-                statistics.events += 1
-            solutions = process_end_element(
-                runtime.machine, name, level, statistics, runtime.collector,
-                eager_emission=runtime.eager,
-            )
-            if solutions:
-                runtime.deliver(solutions, emitted)
-        # Pop *after* dispatch: family runtimes resolve residual paths
-        # against the chain of the element being closed.
-        del self._index.context[level - 1 :]
-
-    def _characters(self, position: int, text: str, level: int) -> None:
-        for runtime in self._index.text_runtimes():
-            statistics = runtime.statistics
-            if statistics is not None:
-                statistics.events += 1
-            process_characters(runtime.machine, text, level, statistics)
-
-    def _other(self, emitted: List[Match], event: Event) -> None:
-        # Rare events (document boundaries, comments, PIs) go to every
-        # machine: EndDocument in particular validates stack emptiness.
-        for runtime in self._index.runtimes:
-            solutions = runtime.evaluator.feed(event)
-            if solutions:
-                runtime.deliver(solutions, emitted)
+        return self._kernel.run((event,), [])
 
     def session(
         self,
@@ -781,9 +695,7 @@ class MultiQueryEvaluator:
         except Exception as exc:
             # Leave the engine as it was before restore_session: empty.
             self.close()
-            self._element_order = 0
-            self._started = False
-            self._finished = False
+            self._kernel.reset()
             if isinstance(exc, (KeyError, IndexError, TypeError, ValueError)):
                 raise CheckpointError(f"malformed snapshot payload: {exc!r}") from exc
             raise
@@ -823,6 +735,7 @@ class MultiQueryEvaluator:
             return self.results()
         if not self._subscriptions:
             raise EngineError("no queries registered")
+        kernel = self._kernel
         if not self._started and not self._finished:
             for runtime in self._index.runtimes:
                 runtime.sync()
@@ -832,19 +745,18 @@ class MultiQueryEvaluator:
                 and not StreamReader._looks_like_path(source)
             ):
                 deliveries: List[Tuple[QueryRuntime, List[Solution]]] = []
-                shape = fused_pure_multi_evaluate(self._index, source, deliveries)
+                shape = fused_pure_multi_evaluate(kernel, source, deliveries)
                 if shape is not None:
-                    for runtime, solutions in deliveries:
-                        runtime.deliver(solutions)
-                    self._mark_finished(shape[0])
+                    kernel.deliver(deliveries)
+                    kernel.finish(shape[0])
                     return self.results()
                 # Construct the fast scan could not handle (or a syntax
                 # error): reset the partial state and replay through the
                 # event pipeline.  Deliveries were buffered, so no callback
                 # fires twice.
-                self._reset_machines()
+                kernel.reset()
             elif parser == "expat":
-                driver = FusedExpatDriver(self._index)
+                driver = FusedExpatDriver(kernel)
                 reader = StreamReader(source, chunk_size=chunk_size)
                 try:
                     driver.run(reader.raw_chunks())
@@ -853,33 +765,14 @@ class MultiQueryEvaluator:
                     # mix this failed run's partial state (or collected
                     # solutions) into its answers.  Callbacks that already
                     # fired stay fired — delivery is incremental by design.
-                    self._reset_machines()
+                    kernel.reset()
                     raise
-                self._mark_finished(driver.element_count)
+                kernel.finish(driver.element_count)
                 return self.results()
-        feed = self.feed
         for batch in event_batches(source, parser=parser, chunk_size=chunk_size):
-            for event in batch:
-                feed(event)
+            kernel.run(batch, None)
         self._finished = True
         return self.results()
-
-    def _reset_machines(self) -> None:
-        """Reset every machine (family collectors included) and the chain."""
-        for runtime in self._index.runtimes:
-            runtime.reset()
-        del self._index.context[:]
-
-    def _mark_finished(self, element_count: int) -> None:
-        """Record stream completion on every runtime after a fused run."""
-        for runtime in self._index.runtimes:
-            evaluator = runtime.evaluator
-            evaluator._element_order = element_count
-            evaluator._started = True
-            evaluator._finished = True
-        self._element_order = element_count
-        self._started = True
-        self._finished = True
 
     def results(self) -> Dict[str, ResultSet]:
         """Result sets accumulated so far, keyed by subscription name."""
@@ -912,14 +805,11 @@ class MultiQueryEvaluator:
 
     def reset(self) -> None:
         """Reset every registered machine so another stream can be processed."""
-        self._reset_machines()
+        self._kernel.reset()
         for subscription in self._subscriptions.values():
             subscription.delivered = 0
             subscription.callback_errors = 0
             subscription.last_callback_error = None
-        self._element_order = 0
-        self._finished = False
-        self._started = False
 
 
 def evaluate_many(

@@ -30,11 +30,10 @@ Every per-registration record (:class:`QueryRuntime`, :class:`FamilyRuntime`,
 registrations stay within container memory.
 
 The index also owns the stream's **ancestor tag chain** (:attr:`QueryIndex.
-context`): every driver (event push and event frames, the pure scan, the
-expat driver) keeps it current — append the tag on a start element,
-truncate after the end-element dispatch — so family runtimes can resolve
-residual path checks at emission time, while the chain of the closing
-element is still known.
+context`): the kernel (for event records) and the fused scans keep it
+current — append the tag on a start element, truncate after the
+end-element dispatch — so family runtimes can resolve residual path checks
+at emission time, while the chain of the closing element is still known.
 
 Skipping a machine for a non-matching tag is semantically a no-op: the
 transition functions would have found an empty ``nodes_matching`` list and
@@ -123,14 +122,44 @@ class _TrieNode:
         self.edge = edge
 
 
-class QueryRuntime:
-    """One running machine inside the index, shared by its subscribers.
+def _fan_out(owners, solutions: List[Solution], emitted) -> None:
+    """Deliver ``solutions`` to the subscribers of every owner, in order.
 
-    Structurally identical queries (equal fingerprints) map to a single
-    runtime: the machine runs once per stream and its solutions fan out to
-    every subscriber.  The hot-loop attributes (``machine``, ``statistics``,
-    ``collector``, ``eager``) are cached copies of the evaluator's state and
-    must be refreshed via :meth:`sync` after :meth:`TwigMEvaluator.reset`.
+    The one subscriber loop of both runtime kinds; ``owners`` are runtimes
+    or residual groups, anything with a ``subscribers`` list.  Emitted pairs
+    are :class:`~repro.core.results.Match` instances (tuple-compatible with
+    the historical ``(name, solution)`` pairs).  Paused subscribers are
+    skipped entirely (no callback, no pair in the incremental stream, no
+    ``delivered`` increment); the shared machine keeps running, so the
+    pull-style result set stays complete.  A callback that raises is
+    isolated: the exception is recorded on the subscription
+    (``callback_errors`` / ``last_callback_error``) and delivery continues
+    for the remaining solutions and subscribers.
+    """
+    for owner in owners:
+        for subscription in owner.subscribers:
+            if subscription.paused:
+                continue
+            name = subscription.name
+            callback = subscription.callback
+            for solution in solutions:
+                subscription.delivered += 1
+                if callback is not None:
+                    try:
+                        callback(solution)
+                    except Exception as exc:  # isolation: one bad callback
+                        subscription.callback_errors += 1
+                        subscription.last_callback_error = exc
+                if emitted is not None:
+                    emitted.append(Match(name, solution))
+
+
+class _Runtime:
+    """What both runtime kinds share: one machine and its hot-loop refs.
+
+    The hot-loop attributes (``machine``, ``statistics``, ``collector``,
+    ``eager``) are cached copies of the evaluator's state and must be
+    refreshed via :meth:`sync` after :meth:`TwigMEvaluator.reset`.
     """
 
     #: Containment-shared family runtimes override this; drivers use it to
@@ -140,7 +169,6 @@ class QueryRuntime:
     __slots__ = (
         "compiled",
         "evaluator",
-        "subscribers",
         "labels",
         "wildcard",
         "needs_text",
@@ -155,7 +183,6 @@ class QueryRuntime:
     def __init__(self, compiled: CompiledQuery, evaluator: TwigMEvaluator) -> None:
         self.compiled = compiled
         self.evaluator = evaluator
-        self.subscribers: List["Subscription"] = []
         self.labels, self.wildcard = machine_label_profile(evaluator.machine)
         self.needs_text = bool(evaluator.machine.text_nodes)
         #: Registration sequence number, assigned by :meth:`QueryIndex.add`.
@@ -166,7 +193,7 @@ class QueryRuntime:
 
     @property
     def fingerprint(self) -> str:
-        """Canonical fingerprint of the runtime's query shape."""
+        """Canonical fingerprint of the runtime's (anchor) query shape."""
         return self.compiled.fingerprint
 
     def sync(self) -> None:
@@ -184,33 +211,27 @@ class QueryRuntime:
         self.evaluator.reset()
         self.sync()
 
-    def deliver(self, solutions: List[Solution], emitted=None) -> None:
-        """Fan ``solutions`` out to every active subscriber.
 
-        Emitted pairs are :class:`~repro.core.results.Match` instances
-        (tuple-compatible with the historical ``(name, solution)`` pairs).
-        Paused subscribers are skipped entirely (no callback, no pair in the
-        incremental stream, no ``delivered`` increment); the shared machine
-        keeps running, so the pull-style result set stays complete.  A
-        callback that raises is isolated: the exception is recorded on the
-        subscription (``callback_errors`` / ``last_callback_error``) and
-        delivery continues for the remaining solutions and subscribers.
-        """
-        for subscription in self.subscribers:
-            if subscription.paused:
-                continue
-            name = subscription.name
-            callback = subscription.callback
-            for solution in solutions:
-                subscription.delivered += 1
-                if callback is not None:
-                    try:
-                        callback(solution)
-                    except Exception as exc:  # isolation: one bad callback
-                        subscription.callback_errors += 1
-                        subscription.last_callback_error = exc
-                if emitted is not None:
-                    emitted.append(Match(name, solution))
+class QueryRuntime(_Runtime):
+    """One running machine inside the index, shared by its subscribers.
+
+    Structurally identical queries (equal fingerprints) map to a single
+    runtime: the machine runs once per stream and its solutions fan out to
+    every subscriber.
+    """
+
+    __slots__ = ("subscribers", "_owners")
+
+    def __init__(self, compiled: CompiledQuery, evaluator: TwigMEvaluator) -> None:
+        self.subscribers: List["Subscription"] = []
+        # Built once: a tuple per delivery would be one more allocation per
+        # match for the cycle collector to count.
+        self._owners = (self,)
+        super().__init__(compiled, evaluator)
+
+    def deliver(self, solutions: List[Solution], emitted=None) -> None:
+        """Fan ``solutions`` out to every active subscriber (:func:`_fan_out`)."""
+        _fan_out(self._owners, solutions, emitted)
 
 
 class ResidualGroup:
@@ -246,7 +267,7 @@ class ResidualGroup:
         return self.compiled.tree.source
 
 
-class FamilyRuntime:
+class FamilyRuntime(_Runtime):
     """One anchor machine serving a containment-shared refinement family.
 
     The machine evaluates the single-step anchor (``//c`` / ``//*``); every
@@ -267,20 +288,9 @@ class FamilyRuntime:
     is_family = True
 
     __slots__ = (
-        "compiled",
-        "evaluator",
         "anchor_label",
         "groups",
         "group_list",
-        "labels",
-        "wildcard",
-        "needs_text",
-        "machine",
-        "statistics",
-        "collector",
-        "eager",
-        "seq",
-        "trie",
         "_context",
         "_pending",
         "_match_cache",
@@ -293,24 +303,13 @@ class FamilyRuntime:
         anchor_label: str,
         context: List[str],
     ) -> None:
-        self.compiled = compiled
-        self.evaluator = evaluator
         self.anchor_label = anchor_label
         self.groups: Dict[str, ResidualGroup] = {}
         self.group_list: List[ResidualGroup] = []
-        self.labels, self.wildcard = machine_label_profile(evaluator.machine)
-        self.needs_text = bool(evaluator.machine.text_nodes)
-        self.seq = -1
-        self.trie: TriePath = trie_path(compiled.tree)
         self._context = context
         self._pending: deque = deque()
         self._match_cache: Dict[Tuple[str, ...], List[ResidualGroup]] = {}
-        self.sync()
-
-    @property
-    def fingerprint(self) -> str:
-        """Fingerprint of the *anchor* query (not of any member shape)."""
-        return self.compiled.fingerprint
+        super().__init__(compiled, evaluator)
 
     @property
     def subscribers(self) -> List["Subscription"]:
@@ -348,21 +347,14 @@ class FamilyRuntime:
         evaluator reset — both points where an undelivered emission batch
         (from a bailed scan) must not leak into the next run.
         """
-        evaluator = self.evaluator
-        self.machine: TwigMachine = evaluator.machine
-        self.statistics: Optional[EngineStatistics] = (
-            evaluator.statistics if evaluator.collect_statistics else None
-        )
-        self.collector: ResultCollector = evaluator.collector
-        self.eager: bool = evaluator.eager_emission
+        super().sync()
         self._pending.clear()
 
     def reset(self) -> None:
         """Reset the anchor machine and every member collector."""
-        self.evaluator.reset()
         for group in self.group_list:
             group.collector = MemberCollector()
-        self.sync()
+        super().reset()
 
     # ------------------------------------------------------------ emission
 
@@ -402,23 +394,7 @@ class FamilyRuntime:
         """
         if not self._pending:
             self.resolve(solutions)
-        matched = self._pending.popleft()
-        for group in matched:
-            for subscription in group.subscribers:
-                if subscription.paused:
-                    continue
-                name = subscription.name
-                callback = subscription.callback
-                for solution in solutions:
-                    subscription.delivered += 1
-                    if callback is not None:
-                        try:
-                            callback(solution)
-                        except Exception as exc:  # isolation: one bad callback
-                            subscription.callback_errors += 1
-                            subscription.last_callback_error = exc
-                    if emitted is not None:
-                        emitted.append(Match(name, solution))
+        _fan_out(self._pending.popleft(), solutions, emitted)
 
 
 class InterestSets(dict):

@@ -20,11 +20,14 @@ Two drivers, selected by ``parser``:
 * ``"pure"`` / ``"native"`` — the incremental
   :class:`~repro.xmlstream.tokenizer.StreamTokenizer` (bytes decoded by
   :class:`~repro.xmlstream.reader.IncrementalByteDecoder`), each completed
-  event pushed through :meth:`MultiQueryEvaluator.push`.
+  event pushed into the engine's :class:`~repro.core.kernel.Kernel`.
 * ``"expat"`` — the fused
-  :class:`~repro.core.fastpath.FusedExpatDriver` in incremental mode:
-  chunks go straight to ``Parse(chunk, 0)`` and callbacks drive the
-  dispatch index with no event objects.
+  :class:`~repro.core.fastpath.FusedExpatDriver` in push mode: chunks go
+  straight to ``Parse(chunk, 0)`` and callbacks drive the kernel with no
+  event objects.
+
+:class:`EventStreamSession` is the parser-free third kind: decoded events,
+or binary event frames walked record by record into the kernel.
 
 Engine-state contract
 ---------------------
@@ -47,7 +50,6 @@ incremental-delivery semantics.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict, List, Optional, Union
 
 from ..errors import CheckpointError, EngineError
@@ -84,7 +86,7 @@ class StreamSession:
         self._failed = False
         self._aborted_elements = 0
         if parser == "expat":
-            self._driver = FusedExpatDriver(engine._index, incremental=True)
+            self._driver = FusedExpatDriver(engine._kernel)
             self._tokenizer = None
             # expat detects encodings itself; an explicit override means the
             # caller decodes better than expat would, so decode Python-side
@@ -117,7 +119,8 @@ class StreamSession:
 
     @property
     def failed(self) -> bool:
-        """True when a chunk raised and the session was aborted."""
+        """True when a feed raised (or the producer aborted) and the
+        session was torn down."""
         return self._failed
 
     @property
@@ -170,23 +173,23 @@ class StreamSession:
         document.
         """
         self._check_open()
-        engine = self._engine
         try:
             if self._tokenizer is not None:
                 pairs = self._push_events(self._tokenizer.close())
-                engine._finished = True
+                self._engine._finished = True
                 return pairs
             driver = self._driver
+            kernel = self._engine._kernel
+            pairs = []
             if self._decoder is not None:
                 # Flush the explicit-encoding decoder: raises EncodingError
                 # if the stream ended mid-multibyte-sequence (matching the
                 # tokenizer path), and feeds any final decoded text.
                 tail = self._decoder.decode(b"", final=True)
                 if tail:
-                    driver.feed(tail)
-            driver.finish()
-            pairs, driver.emitted = driver.emitted, []
-            engine._mark_finished(driver.element_count)
+                    kernel.collect(pairs, driver.feed, tail)
+            kernel.collect(pairs, driver.finish)
+            kernel.finish(driver.element_count)
             return pairs
         except Exception:
             self._abort()
@@ -211,12 +214,7 @@ class StreamSession:
         engine itself (:meth:`MultiQueryEvaluator.snapshot`).  Subscription
         callbacks do not travel; re-bind them after restore.
         """
-        if self._failed:
-            raise CheckpointError("cannot snapshot an aborted session")
-        if self._finished:
-            raise CheckpointError(
-                "cannot snapshot a finished session; snapshot the engine instead"
-            )
+        self._check_snapshot()
         session_state: Dict[str, Any] = {"parser": self.parser}
         if self._tokenizer is not None:
             session_state["tokenizer"] = self._tokenizer.snapshot_state()
@@ -246,7 +244,7 @@ class StreamSession:
         if parser == "expat":
             session._tokenizer = None
             spool = decode_spool(state.get("spool", []))
-            driver = FusedExpatDriver(engine._index, incremental=True)
+            driver = FusedExpatDriver(engine._kernel)
             driver.prime(spool, state["driver"])
             session._driver = driver
             session._spool = spool
@@ -267,38 +265,23 @@ class StreamSession:
 
     def _check_open(self) -> None:
         if self._failed:
-            raise EngineError("session aborted by an earlier parse error")
+            raise EngineError("session aborted by an earlier stream error")
         if self._finished:
             raise EngineError("session already finished")
 
-    def _push_events(self, events) -> List[Match]:
-        push = self._engine.push
-        pairs: List[Match] = []
-        for event in events:
-            emitted = push(event)
-            if emitted:
-                pairs.extend(emitted)
-        return pairs
+    def _check_snapshot(self) -> None:
+        if self._failed:
+            raise CheckpointError("cannot snapshot an aborted session")
+        if self._finished:
+            raise CheckpointError(
+                "cannot snapshot a finished session; snapshot the engine instead"
+            )
 
-    def _feed_fused(self, chunk: Union[str, bytes]) -> List[Match]:
-        driver = self._driver
-        spool = self._spool
-        if spool is not None and chunk:
-            # O(1) append per feed; adjacent same-type chunks are coalesced
-            # lazily by encode_spool at snapshot time (eagerly concatenating
-            # here would re-copy the whole prefix on every feed).
-            spool.append(chunk)
-        driver.feed(chunk)
-        if driver.element_count and not self._engine._started:
-            # The fused driver bypasses engine.push, so mirror its
-            # started-flag bookkeeping: registrations from here on are
-            # mid-stream and must get private machines.
-            self._engine._started = True
-        pairs, driver.emitted = driver.emitted, []
-        return pairs
+    def _push_events(self, events) -> List[Match]:
+        return self._engine._kernel.run(events, [])
 
     def _abort(self) -> None:
-        """Reset every machine after a parse error (engine stays usable).
+        """Reset every machine after a stream error (engine stays usable).
 
         Mirrors the failed fused-run cleanup in ``evaluate()``: partial
         machine state (and collected solutions) must not leak into a later
@@ -307,16 +290,21 @@ class StreamSession:
         self._aborted_elements = self.element_count
         self._failed = True
         self._finished = True
-        _reset_engine_after_abort(self._engine)
+        self._engine._kernel.reset()
 
-
-def _reset_engine_after_abort(engine) -> None:
-    """Tear live machine state back down after an aborted document."""
-    for runtime in engine._index.runtimes:
-        runtime.reset()  # family member collectors included
-    engine._element_order = 0
-    engine._started = False
-    engine._finished = False
+    def _feed_fused(self, chunk: Union[str, bytes]) -> List[Match]:
+        spool = self._spool
+        if spool is not None and chunk:
+            # O(1) append per feed; adjacent same-type chunks are coalesced
+            # lazily by encode_spool at snapshot time (eagerly concatenating
+            # here would re-copy the whole prefix on every feed).
+            spool.append(chunk)
+        engine = self._engine
+        pairs = engine._kernel.collect([], self._driver.feed, chunk)
+        if self._driver.element_count:
+            # Registrations from here on are mid-stream.
+            engine._started = True
+        return pairs
 
 
 #: Parser label recorded in snapshots taken from an event session; distinct
@@ -329,13 +317,13 @@ class EventStreamSession:
 
     This is the worker-side half of parse-once sharding (worker-pipe
     protocol v2): the front process tokenizes the document exactly once,
-    ships binary event frames, and each worker decodes them and pushes the
-    events straight into :meth:`MultiQueryEvaluator.push` — the dispatch
-    index runs with no tokenizer, no decoder and no expat instance.
+    ships binary event frames, and each worker walks them straight into the
+    engine's :class:`~repro.core.kernel.Kernel` — the dispatch index runs
+    with no tokenizer, no decoder and no expat instance.
 
     The session mirrors :class:`StreamSession` semantics exactly —
-    document-global pre-order (the engine injects ``_element_order`` per
-    start tag), abort-on-error machine reset, eof validation via the
+    document-global pre-order (the kernel injects it per start tag),
+    abort-on-error machine reset, eof validation via the
     stream ends the producer emits — so a worker matching
     from events is push-identical to one parsing raw XML.  It is also the
     reason v2 checkpoint shards shrink: there is no parser carry-over to
@@ -347,6 +335,15 @@ class EventStreamSession:
     """
 
     parser = EVENTS_PARSER
+
+    # The parser-free part of the StreamSession contract, shared verbatim.
+    engine = StreamSession.engine
+    finished = StreamSession.finished
+    failed = StreamSession.failed
+    _check_open = StreamSession._check_open
+    _check_snapshot = StreamSession._check_snapshot
+    _push_events = StreamSession._push_events
+    _abort = StreamSession._abort
 
     def __init__(self, engine) -> None:
         self._engine = engine
@@ -360,22 +357,6 @@ class EventStreamSession:
     # ------------------------------------------------------------------ API
 
     @property
-    def engine(self):
-        """The :class:`MultiQueryEvaluator` this session drives."""
-        return self._engine
-
-    @property
-    def finished(self) -> bool:
-        """True once :meth:`finish` completed (or the session failed)."""
-        return self._finished
-
-    @property
-    def failed(self) -> bool:
-        """True when a feed raised (or the producer aborted) and the
-        session was torn down."""
-        return self._failed
-
-    @property
     def element_count(self) -> int:
         """Start elements pushed so far (the global element pre-order)."""
         if self._failed:
@@ -385,24 +366,18 @@ class EventStreamSession:
     def feed_events(self, events) -> List[Match]:
         """Push a run of decoded events; return the pairs they completed."""
         self._check_open()
-        push = self._engine.push
-        pairs: List[Match] = []
         try:
-            for event in events:
-                emitted = push(event)
-                if emitted:
-                    pairs.extend(emitted)
+            return self._push_events(events)
         except Exception:
             self.abort()
             raise
-        return pairs
 
     def feed_frame(self, frame: bytes) -> List[Match]:
         """Push one *binary event frame* (the protocol-v2 wire unit).
 
         Equivalent to ``feed_events(decoder.decode(frame))`` with the
         session owning the decoder, but fused: start, end and text records
-        reach the engine's event handlers straight off the wire bytes
+        reach the engine's kernel straight off the wire bytes
         (:meth:`~repro.xmlstream.eventcodec.EventFrameDecoder.walk`), with no
         event objects in between.
         Frames must arrive in production order from one
@@ -414,20 +389,20 @@ class EventStreamSession:
         decoder = self._decoder
         if decoder is None:
             decoder = self._decoder = EventFrameDecoder()
-        engine = self._engine
-        pairs: List[Match] = []
+        kernel = self._engine._kernel
         try:
-            decoder.walk(
+            return kernel.collect(
+                [],
+                decoder.walk,
                 frame,
-                engine._start_element,
-                partial(engine._end_element, pairs),
-                engine._characters,
-                partial(engine._other, pairs),
+                kernel.start_record,
+                kernel.end_record,
+                kernel.chars_record,
+                kernel.other,
             )
         except Exception:
             self.abort()
             raise
-        return pairs
 
     def finish(self) -> List[Match]:
         """Declare end of the event stream.
@@ -449,14 +424,10 @@ class EventStreamSession:
 
         In events mode parse errors happen in the *front* process; the
         worker is told to abort and must reset every machine exactly like a
-        local parse error would (:meth:`StreamSession._abort`).
+        local parse error would.
         """
-        if self._failed:
-            return
-        self._aborted_elements = self.element_count
-        self._failed = True
-        self._finished = True
-        _reset_engine_after_abort(self._engine)
+        if not self._failed:
+            self._abort()
 
     # ------------------------------------------------------------ snapshot
 
@@ -470,12 +441,7 @@ class EventStreamSession:
         which returns a fresh :class:`EventStreamSession` over the restored
         engine.
         """
-        if self._failed:
-            raise CheckpointError("cannot snapshot an aborted session")
-        if self._finished:
-            raise CheckpointError(
-                "cannot snapshot a finished session; snapshot the engine instead"
-            )
+        self._check_snapshot()
         return make_snapshot(engine_state(self._engine), {"parser": self.parser})
 
     @classmethod
@@ -490,14 +456,6 @@ class EventStreamSession:
                 f"not an event-session snapshot: parser={state.get('parser')!r}"
             )
         return cls(engine)
-
-    # ------------------------------------------------------------ internals
-
-    def _check_open(self) -> None:
-        if self._failed:
-            raise EngineError("session aborted by an earlier stream error")
-        if self._finished:
-            raise EngineError("session already finished")
 
 
 __all__ = ["EVENTS_PARSER", "EventStreamSession", "StreamSession"]

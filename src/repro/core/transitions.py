@@ -18,9 +18,10 @@ All functions mutate the machine's stacks in place.  Two hot-path choices
 shape the signatures:
 
 * The functions take *scalars* (``name``, ``level``, ...) instead of event
-  objects, so the fused fast paths (:mod:`repro.core.fastpath`) can drive
-  them straight from regex groups or expat callbacks without materialising
-  an event object per tag; :meth:`TwigMEvaluator.feed` unpacks events.
+  objects: their one caller, :class:`~repro.core.kernel.Kernel`, is driven
+  by event records and frames as well as straight from regex groups or
+  expat callbacks (:mod:`repro.core.fastpath`), with no event object per
+  tag.
 * ``statistics`` may be ``None``: transition dispatch runs millions of times
   per document, so the counters the benchmarks rely on are optional behind a
   cheap no-op mode (``TwigMEvaluator(collect_statistics=False)``); when a
@@ -67,7 +68,7 @@ def process_start_element(
     node_ref: Optional[NodeRef] = None
     pushed = False
     for machine_node in matching:
-        # Incoming-axis check, inlined from _axis_allows_push.
+        # Incoming-axis check; the MachineStack.has_open_* tests, inlined.
         parent = machine_node.parent
         if parent is None:
             if machine_node.axis is not _DESCENDANT and level != 1:
@@ -130,26 +131,6 @@ def process_start_element(
         live_candidates = statistics.live_candidates
         if live_candidates > statistics.peak_candidate_count:
             statistics.peak_candidate_count = live_candidates
-
-
-def _axis_allows_push(machine_node: MachineNode, level: int) -> bool:
-    """Check the incoming-axis condition for pushing at ``level``.
-
-    Kept as a standalone helper (the hot loop above inlines the same logic)
-    because tests and the naive baseline exercise it directly.
-    """
-    if machine_node.is_root:
-        if machine_node.axis is Axis.DESCENDANT:
-            return True
-        # Child axis from the document root: only the document element matches.
-        return level == 1
-    parent_stack = machine_node.parent.stack
-    if machine_node.axis is Axis.CHILD:
-        return parent_stack.has_open_at_level(level - 1)
-    # Descendant axis: a *proper* ancestor match must be open.  Entries pushed
-    # for the same element during this very event sit at the same level and
-    # are correctly excluded by the strict comparison.
-    return parent_stack.has_open_below(level)
 
 
 def _resolve_attributes(

@@ -115,6 +115,10 @@ def memoise_start_tag(
         memo[buffer[lt:end]] = entry
 
 
+#: Literal whitespace an attribute value normalises to a space.
+_VALUE_WHITESPACE = str.maketrans("\t\n\r", "   ")
+
+
 def parse_attribute_string(
     raw: str, tag_name: str, line: Optional[int]
 ) -> Tuple[Tuple[str, str], ...]:
@@ -122,7 +126,10 @@ def parse_attribute_string(
 
     ``raw`` must already match the attribute group of ``START_TAG_RE``.
     Shared by the incremental tokenizer and the fused fast path so the two
-    can never drift on entity decoding or duplicate detection.  Raises
+    can never drift on entity decoding or duplicate detection.  Values are
+    normalised as XML 1.0 §3.3.3 says, like expat: a literal line break
+    (``\r\n``, ``\r`` or ``\n``) or tab becomes a space *before* entity
+    decoding, so ``&#10;`` and ``&#9;`` keep their characters.  Raises
     :class:`XMLSyntaxError` for duplicates and malformed entity references.
     """
     attributes: List[Tuple[str, str]] = []
@@ -132,6 +139,8 @@ def parse_attribute_string(
         value = match.group(2)
         if value is None:
             value = match.group(3)
+        if "\n" in value or "\t" in value or "\r" in value:
+            value = value.replace("\r\n", " ").translate(_VALUE_WHITESPACE)
         if "&" in value:
             value = decode_entities(value, line=line)
         if name in seen:

@@ -1,20 +1,21 @@
 """Every source × every subscription shape answers to the DOM oracle.
 
-The TwigM transition functions (``core/transitions.py``) are driven from six
-sources — an event list, the pure one-shot scan, a pure push session fed at
-random chunk boundaries, expat one-shot, expat fed in byte chunks, and binary
-event frames — and consumed by four subscription shapes: the single-query
-facade ``repro.evaluate``, an :class:`~repro.Engine` with one subscription,
-and one engine holding every query (containment families included).  Each
-combination, with statistics collection on and off, must give the per-query
-result sets of :func:`~repro.baselines.evaluate_with_dom` — ``NodeRef.line``
-included — on generated queries over generated documents sprinkled with
-comments, CDATA, processing instructions and start tags that span lines.
-The many-query engine also pins the delivery contract: each subscription's
-pushed sequence is the same from all six sources and holds every
-``results()`` solution exactly once.  For the single-query facade the
-statistics must also agree across pure one-shot, expat one-shot and the
-staged event pipeline.
+The TwigM transition functions (``core/transitions.py``) are driven, through
+the one kernel (``core/kernel.py``), from seven sources — an event list, the
+pure one-shot scan, a pure push session fed at random chunk boundaries, a
+pure file read through the event pipeline, expat one-shot, expat fed in byte
+chunks, and binary event frames — and consumed by three subscription shapes:
+the single-query facade ``repro.evaluate``, an :class:`~repro.Engine` with
+one subscription, and one engine holding every query (containment families
+included).  Each combination, with statistics collection on and off, must
+give the per-query result sets of :func:`~repro.baselines.evaluate_with_dom`
+— ``NodeRef.line`` included — on generated queries over generated documents
+sprinkled with comments, CDATA, processing instructions and start tags that
+span lines.  The many-query engine also pins the delivery contract: each
+subscription's pushed sequence is the same from all seven sources and holds
+every ``results()`` solution exactly once.  Statistics are pinned too: per
+subscription, equal within the event-record sources and within the fused
+ones; for the single-query facade, equal across every source.
 """
 
 from __future__ import annotations
@@ -127,6 +128,9 @@ FACADE = {
     "pure-chunked": lambda q, doc, seed, stats: _facade(
         q, iter(_cuts(doc, seed)), stats, parser="pure"
     ),
+    "pure-file": lambda q, doc, seed, stats: _facade(
+        q, io.StringIO(doc), stats, parser="pure"
+    ),
     "expat-oneshot": lambda q, doc, seed, stats: _facade(q, doc, stats, parser="expat"),
     "expat-chunked": lambda q, doc, seed, stats: _facade(
         q, io.BytesIO(doc.encode()), stats, parser="expat", chunk_size=7
@@ -155,6 +159,7 @@ ENGINE = {
     "pure-chunked": lambda e, doc, seed: _session(
         e, "pure", _cuts(doc, seed), "feed_text"
     ),
+    "pure-file": lambda e, doc, seed: e.evaluate(io.StringIO(doc), parser="pure"),
     "expat-oneshot": lambda e, doc, seed: e.evaluate(doc, parser="expat"),
     "expat-chunked": lambda e, doc, seed: _session(
         e, "expat", _cuts(doc.encode(), seed), "feed_bytes"
@@ -240,9 +245,36 @@ def test_each_subscription_gets_one_sequence_from_every_source(
             )
 
 
+#: Sources whose per-subscription statistics agree.  The event-record
+#: sources count every record a machine is dispatched in its ``events``
+#: counter; the fused scans count none and see text as coalesced runs.
+STATISTICS_CLASSES = [
+    ("events", "pure-chunked", "frames", "pure-file"),
+    ("pure-oneshot", "expat-oneshot", "expat-chunked"),
+]
+
+
+def _statistics(source, index, document):
+    with Engine() as engine:
+        for number, query in enumerate(QUERIES):
+            engine.subscribe(query, name=f"q{number}")
+        ENGINE[source](engine, document, index)
+        return engine.statistics()
+
+
+@pytest.mark.parametrize("sources", STATISTICS_CLASSES, ids=["records", "fused"])
+def test_subscription_statistics_agree_within_a_source_class(sources):
+    for index, document in enumerate(DOCUMENTS):
+        expected = _statistics(sources[0], index, document)
+        for source in sources[1:]:
+            assert _statistics(source, index, document) == expected, (
+                f"{source} on document {index}"
+            )
+
+
 @pytest.mark.parametrize("query", QUERIES)
 def test_single_query_statistics_agree_across_backends(query):
-    for document in DOCUMENTS:
+    for index, document in enumerate(DOCUMENTS):
         staged = TwigMEvaluator(query)
         staged.evaluate(list(tokenize(document)))
         expected = staged.statistics.as_dict()
@@ -250,6 +282,14 @@ def test_single_query_statistics_agree_across_backends(query):
             evaluator = TwigMEvaluator(query)
             evaluator.evaluate(document, parser=parser)
             assert evaluator.statistics.as_dict() == expected, parser
+        chunked = TwigMEvaluator(query)
+        chunked.evaluate(iter(_cuts(document, index)), parser="pure")
+        assert chunked.statistics.as_dict() == expected, "pure chunks"
+        fed = TwigMEvaluator(query)
+        for event in tokenize(document):
+            fed.feed(event)
+        fed.finish()
+        assert fed.statistics.as_dict() == expected, "feed"
 
 
 def test_the_one_entry_scan_keeps_no_delivery_batches(monkeypatch):

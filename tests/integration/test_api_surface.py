@@ -92,6 +92,7 @@ class TestSingleKernel:
     def test_a_second_driver_for_an_input_format_is_reported(self, tmp_path):
         core = tmp_path / "core"
         core.mkdir()
+        (core / "kernel.py").write_text("from .transitions import process_end_element\n")
         (core / "multi.py").write_text("from .transitions import process_end_element\n")
         (core / "framepath.py").write_text(
             "from ..xmlstream.eventcodec import EventFrameDecoder, _read_varint\n"
@@ -102,4 +103,22 @@ class TestSingleKernel:
         assert "framepath.py:1: xmlstream.eventcodec._read_varint" in result.stderr
         assert "EventFrameDecoder" not in result.stderr
         assert "framepath.py:2: import from transitions" in result.stderr
-        assert "multi.py:" not in result.stderr
+        assert "multi.py:1: import from transitions" in result.stderr
+        assert "kernel.py:1" not in result.stderr
+
+    def test_a_hand_copied_text_accumulator_is_reported(self, tmp_path):
+        core = tmp_path / "core"
+        core.mkdir()
+        (core / "fastpath.py").write_text(
+            "def _append_text(text_nodes, text, level):\n"
+            "    for node in text_nodes:\n"
+            "        for entry in node.stack.entries:\n"
+            "            entry.string_parts.append(text)\n"
+        )
+        baselines = tmp_path / "baselines"
+        baselines.mkdir()
+        (baselines / "naive.py").write_text("def collect(record, text):\n    record.direct_parts.append(text)\n")
+        result = run_tool("check_single_kernel.py", str(tmp_path))
+        assert result.returncode == 1
+        assert "fastpath.py:4: string_parts" in result.stderr
+        assert "naive.py" not in result.stderr

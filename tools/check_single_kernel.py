@@ -3,20 +3,22 @@
 
 ``core/transitions.py`` is the one implementation of the paper's transition
 functions and ``core/stack.py`` owns the stack entries they manipulate.
-Every driver must call ``process_start_element`` / ``process_end_element``
-/ ``process_characters`` rather than inline its own copy of their bodies.  A
+Every source must hand its tags to ``core/kernel.py``, the one code that
+calls ``process_start_element`` / ``process_end_element`` /
+``process_characters``, rather than inline its own copy of their bodies.  A
 hand-inlined copy gives itself away by touching the internals those bodies
 use, so this walks the AST of every module under ``src/repro/`` and reports
 any name, attribute or import of:
 
     acquire_entry, release_entry, absorb_candidates, _resolve_attributes
 
-outside those two modules.  It also keeps one driver per input format:
+outside those two modules, and under ``core/`` also the text accumulators
+``string_parts`` / ``direct_parts`` (a hand copy of ``process_characters``
+appends to them; ``baselines/naive.py``, the reference implementation,
+keeps its own).  It also keeps one kernel and one driver per input format:
 
-* only the drivers import from ``core/transitions.py`` — ``core/engine.py``
-  and ``core/multi.py`` (events, and event frames through the multi-query
-  engine's handlers), ``core/fastpath.py`` (the pure scan and the expat
-  driver) — plus ``core/__init__.py``, which re-exports the functions;
+* only ``core/kernel.py`` imports from ``core/transitions.py``, plus
+  ``core/__init__.py``, which re-exports the functions;
 * no module under ``core/`` imports an underscore name from
   ``xmlstream/`` (a second frame or tag decoder would need one).
 
@@ -40,35 +42,33 @@ PACKAGE = os.path.join(ROOT, "src", "repro")
 INTERNALS = frozenset(
     {"acquire_entry", "release_entry", "absorb_candidates", "_resolve_attributes"}
 )
+ACCUMULATORS = frozenset({"string_parts", "direct_parts"})
 KERNEL = frozenset({os.path.join("core", "transitions.py"), os.path.join("core", "stack.py")})
-DRIVERS = frozenset(
-    os.path.join("core", name)
-    for name in ("__init__.py", "engine.py", "multi.py", "fastpath.py")
-)
+IMPORTERS = frozenset(os.path.join("core", name) for name in ("__init__.py", "kernel.py"))
 
 
-def _references(tree: ast.AST) -> Iterator[Tuple[int, str]]:
+def _references(tree: ast.AST, names: frozenset) -> Iterator[Tuple[int, str]]:
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in INTERNALS:
+        if isinstance(node, ast.Name) and node.id in names:
             yield node.lineno, node.id
-        elif isinstance(node, ast.Attribute) and node.attr in INTERNALS:
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             yield node.lineno, node.attr
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if alias.name.rpartition(".")[2] in INTERNALS:
+                if alias.name.rpartition(".")[2] in names:
                     yield node.lineno, alias.name
 
 
 def _driver_imports(
-    tree: ast.AST, in_core: bool, is_driver: bool
+    tree: ast.AST, in_core: bool, may_import: bool
 ) -> Iterator[Tuple[int, str]]:
-    """Non-driver imports of the transition module, and core imports of
-    xmlstream private names."""
+    """Imports of the transition module outside the kernel, and core
+    imports of xmlstream private names."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom) or node.module is None:
             continue
         module = node.module
-        if not is_driver and module.rpartition(".")[2] == "transitions" and (
+        if not may_import and module.rpartition(".")[2] == "transitions" and (
             node.level == 1 and in_core or module.endswith("core.transitions")
         ):
             yield node.lineno, f"import from {module}"
@@ -91,9 +91,10 @@ def violations(package: str) -> List[str]:
                 continue
             with open(path, encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), filename=path)
-            references = list(_references(tree))
             in_core = relative.split(os.sep)[0] == "core"
-            references.extend(_driver_imports(tree, in_core, relative in DRIVERS))
+            names = INTERNALS | ACCUMULATORS if in_core else INTERNALS
+            references = list(_references(tree, names))
+            references.extend(_driver_imports(tree, in_core, relative in IMPORTERS))
             for line, name in sorted(references):
                 found.append(f"{relative}:{line}: {name}")
     return found
@@ -107,14 +108,14 @@ def main(argv: List[str] | None = None) -> int:
     if found:
         print(
             "FAIL: transition internals referenced outside core/transitions.py "
-            "and core/stack.py (call the process_* functions instead), or a "
-            "driver outside engine.py / multi.py / fastpath.py:",
+            "and core/stack.py (hand the tags to core/kernel.py instead), or "
+            "the transition functions imported outside core/kernel.py:",
             file=sys.stderr,
         )
         for entry in found:
             print(f"  {entry}", file=sys.stderr)
         return 1
-    print("OK: one transition kernel (core/transitions.py), one driver per input format")
+    print("OK: one transition kernel (core/kernel.py over core/transitions.py)")
     return 0
 
 
