@@ -24,7 +24,6 @@ import time
 
 from repro import Engine, Query
 from repro.baselines import NaiveStreamingEvaluator
-from repro.bench.reporting import render_table
 from repro.datasets import RecursiveBookGenerator, RecursiveConfig
 from repro.xpath import linear_descendant_query
 
@@ -44,6 +43,15 @@ def build_document(depth: int) -> str:
         seed=21,
     )
     return generator.text()
+
+
+def print_table(rows: list, title: str) -> None:
+    """Print dict rows as an aligned plain-text table under ``title``."""
+    widths = {key: max(len(key), *(len(str(row[key])) for row in rows)) for key in rows[0]}
+    print(title)
+    print("  ".join(key.ljust(width) for key, width in widths.items()))
+    for row in rows:
+        print("  ".join(str(row[key]).ljust(width) for key, width in widths.items()))
 
 
 def main() -> None:
@@ -85,7 +93,7 @@ def main() -> None:
             }
         )
 
-    print(render_table(rows, title="TwigM stack entries vs naive explicit pattern matches"))
+    print_table(rows, "TwigM stack entries vs naive explicit pattern matches")
     print()
     last = rows[-1]
     ratio = last["naive_records"] / max(1, last["twigm_entries"])

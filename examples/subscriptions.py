@@ -22,7 +22,6 @@ import argparse
 import time
 
 from repro import Engine, Query, evaluate, stream_evaluate
-from repro.bench.reporting import render_table
 from repro.datasets import NewsFeedConfig, NewsFeedGenerator
 
 SUBSCRIPTIONS = {
@@ -59,6 +58,15 @@ def run_separate_passes(generator: NewsFeedGenerator) -> float:
     return time.perf_counter() - start
 
 
+def print_table(rows: list, title: str) -> None:
+    """Print dict rows as an aligned plain-text table under ``title``."""
+    widths = {key: max(len(key), *(len(str(row[key])) for row in rows)) for key in rows[0]}
+    print(title)
+    print("  ".join(key.ljust(width) for key, width in widths.items()))
+    for row in rows:
+        print("  ".join(str(row[key]).ljust(width) for key, width in widths.items()))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--updates", type=int, default=3000)
@@ -80,7 +88,7 @@ def main() -> None:
         }
         for name, query in SUBSCRIPTIONS.items()
     ]
-    print(render_table(rows, title="Per-subscription results (single shared scan)"))
+    print_table(rows, "Per-subscription results (single shared scan)")
     print()
     print(f"shared single scan : {shared['elapsed']:.2f} s")
     print(f"one scan per query : {separate_elapsed:.2f} s")

@@ -29,7 +29,6 @@ Sub-packages:
 * :mod:`repro.service`   — the asyncio subscription service (server + client)
 * :mod:`repro.baselines` — DOM oracle and naive enumerating streamer
 * :mod:`repro.datasets`  — synthetic datasets (protein, recursive, auction, news)
-* :mod:`repro.bench`     — benchmark harness reproducing the paper's experiments
 
 Legacy entry points (``TwigMEvaluator``, ``MultiQueryEvaluator.register``,
 ``ServiceClient``) keep working behind thin :class:`DeprecationWarning`

@@ -7,8 +7,6 @@ Subcommands mirror how the original demo system was driven:
 * ``vitex explain QUERY`` — show the parsed query twig and the TwigM machine
   that the builder constructs for it (paper Figure 3).
 * ``vitex generate DATASET`` — write one of the synthetic datasets to a file.
-* ``vitex bench EXPERIMENT`` — run one of the E1–E8/M1 experiments and print
-  the report table.
 * ``vitex watch QUERIES FILE`` — register many standing queries (one per
   line) and stream ``[name] solution`` matches as they are found.
 * ``vitex serve`` / ``vitex publish`` / ``vitex subscribe`` — the streaming
@@ -22,7 +20,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import inspect
-import json
 import os
 import re
 import signal
@@ -31,22 +28,6 @@ from typing import List, Optional, Tuple
 
 from . import __version__
 from .api import Engine, EngineConfig, Query
-from .bench import (
-    print_report,
-    render_table,
-    run_builder_scaling,
-    run_incremental_latency,
-    run_memory_stability,
-    run_multiquery_scaling,
-    run_pipeline_throughput,
-    run_protein_breakdown,
-    run_query_size_scaling,
-    run_query_variety,
-    run_service_scaling,
-    run_service_sharded_scaling,
-    run_soak,
-    run_subscription_scaling,
-)
 from .core.engine import TwigMEvaluator as _SingleQueryEvaluator
 from .core.builder import build_machine
 from .datasets.auction import AuctionConfig, AuctionGenerator
@@ -385,68 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate_parser.add_argument("--size-mb", type=float, default=1.0, help="approximate size in MB")
     generate_parser.add_argument("--seed", type=int, default=0)
 
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run one of the paper's experiments, or compare reports",
-        parents=[parser_flag],
-        description=(
-            "Run one of the E1–E8/M1/M2 experiments, or — with 'compare' — "
-            "diff freshly produced report JSONs against committed baselines "
-            "and fail on throughput regressions (the CI gate)."
-        ),
-    )
-    bench_parser.add_argument(
-        "experiment",
-        choices=(
-            "protein-breakdown",
-            "memory-stability",
-            "query-size-scaling",
-            "builder-linear",
-            "query-variety",
-            "incremental-latency",
-            "pipeline",
-            "multiquery",
-            "subscriptions",
-            "service",
-            "soak",
-            "compare",
-        ),
-    )
-    bench_parser.add_argument(
-        "reports",
-        nargs="*",
-        metavar="REPORT",
-        help="(compare only) fresh BENCH_*.json report files to check",
-    )
-    bench_parser.add_argument("--quick", action="store_true", help="use reduced problem sizes")
-    bench_parser.add_argument(
-        "--workers",
-        metavar="N[,N...]",
-        default=None,
-        help="(service only) run the sharded sweep over these worker counts "
-        "instead of the subscriber sweep; a workers=1 baseline row is always "
-        "included (e.g. --workers 2 or --workers 1,2,4)",
-    )
-    bench_parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the experiment rows as JSON (e.g. BENCH_pipeline.json)",
-    )
-    bench_parser.add_argument(
-        "--baseline-dir",
-        metavar="DIR",
-        default=".",
-        help="(compare only) directory holding the committed baselines "
-        "matched by file name (default: current directory)",
-    )
-    bench_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="(compare only) allowed fractional regression before failing "
-        "(default 0.30)",
-    )
     return parser
 
 
@@ -476,8 +395,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _command_explain(args)
         if args.command == "generate":
             return _command_generate(args)
-        if args.command == "bench":
-            return _command_bench(args)
     except ViteXError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1053,147 +970,6 @@ def _command_generate(args: argparse.Namespace) -> int:
         )
     written = generator.write_to(args.output)
     print(f"wrote {written} bytes of {args.dataset} data to {args.output}")
-    return 0
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    quick = args.quick
-    if args.experiment == "compare":
-        return _command_bench_compare(args)
-    if args.reports:
-        print("error: REPORT arguments are only valid with 'compare'", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.experiment != "service":
-        print("error: --workers is only valid with 'service'", file=sys.stderr)
-        return 2
-    experiment_name = args.experiment
-    # The shared --parser flag selects the backend for single-backend
-    # experiments; backend-comparison experiments (pipeline) always sweep
-    # every backend, and the rest are parse-free.  Passing nothing keeps
-    # each experiment's own default (and the committed baseline row keys).
-    backend_kwargs = {} if args.parser is None else {"parser": args.parser}
-    if args.experiment == "protein-breakdown":
-        rows = run_protein_breakdown(entries=(100, 200) if quick else (200, 400, 800))
-        title = "E1: protein query time breakdown"
-    elif args.experiment == "memory-stability":
-        rows = run_memory_stability(sizes_mb=(0.5, 1) if quick else (1, 2, 4, 8))
-        title = "E2: memory stability vs document size"
-    elif args.experiment == "query-size-scaling":
-        rows = run_query_size_scaling(max_steps=3 if quick else 5, nesting_depth=8 if quick else 10)
-        title = "E3: TwigM vs naive enumeration"
-    elif args.experiment == "builder-linear":
-        rows = run_builder_scaling(step_counts=(1, 10, 50) if quick else (1, 5, 10, 25, 50, 100, 200))
-        title = "E4: TwigM builder scaling"
-    elif args.experiment == "query-variety":
-        rows = run_query_variety(scale=0.2 if quick else 0.5)
-        title = "E5: query variety across datasets"
-    elif args.experiment == "incremental-latency":
-        rows = [run_incremental_latency(updates=500 if quick else 3000)]
-        title = "E7: incremental output latency"
-    elif args.experiment == "multiquery":
-        rows = run_multiquery_scaling(
-            counts=(1, 10, 50) if quick else (1, 10, 50, 200, 500),
-            records=1500 if quick else 4000,
-            sample=10 if quick else 20,
-            **backend_kwargs,
-        )
-        title = "M1: multi-query subscription scaling (indexed dispatch)"
-    elif args.experiment == "subscriptions":
-        # Quick counts are a subset of the full sweep (same document, same
-        # families) so `bench compare` can match quick CI rows against the
-        # committed full baseline; the traced memory pass is skipped under
-        # --quick to keep the CI job short.
-        rows = run_subscription_scaling(
-            counts=(10_000,) if quick else (10_000, 100_000, 1_000_000),
-            measure_memory=not quick,
-            **backend_kwargs,
-        )
-        title = "M4: million-subscription index scaling (trie + containment)"
-    elif args.experiment == "service" and args.workers is not None:
-        try:
-            worker_counts = tuple(
-                int(part) for part in args.workers.split(",") if part.strip()
-            )
-        except ValueError:
-            print(f"error: bad --workers value {args.workers!r}", file=sys.stderr)
-            return 2
-        if not worker_counts or min(worker_counts) < 1:
-            print("error: --workers needs counts >= 1", file=sys.stderr)
-            return 2
-        # The sharded sweep workload is already quick-sized (every worker
-        # count runs the identical document, so rows stay comparable between
-        # --quick CI runs and the committed full-sweep baseline).
-        rows = run_service_sharded_scaling(workers=worker_counts, **backend_kwargs)
-        title = "M3: sharded service scaling across worker processes"
-        experiment_name = "service-sharded"
-    elif args.experiment == "soak":
-        # The quick soak is a scaled-down run (its own committed baseline
-        # BENCH_soak.quick.json, so quick CI rows never compare against the
-        # full 2M-element sweep); both sizes keep the warm-up longer than
-        # the retention spool so the flatness baseline is taken warm.
-        rows = run_soak(
-            documents=150 if quick else 1200,
-            entries_per_document=120 if quick else 600,
-            window_documents=25 if quick else 100,
-            **backend_kwargs,
-        )
-        title = "M5: infinite-stream soak (flat memory over unbounded documents)"
-    elif args.experiment == "service":
-        # Quick counts are a subset of the full sweep so `bench compare`
-        # can match quick CI rows against the committed full baseline.
-        rows = run_service_scaling(
-            counts=(1, 25, 100) if quick else (1, 25, 100, 200),
-            records=400 if quick else 1500,
-            **backend_kwargs,
-        )
-        title = "M2: subscription service end-to-end latency and throughput"
-    else:
-        rows = run_pipeline_throughput(
-            target_bytes=(512 * 1024) if quick else (2 * 1024 * 1024),
-            repeats=1 if quick else 3,
-        )
-        title = "E8: streaming-pipeline throughput per backend"
-    print_report(render_table(rows, title=title))
-    if args.json:
-        from .bench.compare import machine_calibration
-
-        payload = {
-            "experiment": experiment_name,
-            "title": title,
-            "rows": rows,
-            # Machine-speed probe: lets `bench compare` rescale absolute
-            # throughputs between the baseline machine and a CI runner.
-            "calibration_score": machine_calibration(),
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _command_bench_compare(args: argparse.Namespace) -> int:
-    from .bench.compare import DEFAULT_TOLERANCE, compare_files
-
-    if not args.reports:
-        print("error: bench compare needs at least one REPORT file", file=sys.stderr)
-        return 2
-    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    failures, lines = compare_files(
-        args.reports, baseline_dir=args.baseline_dir, tolerance=tolerance
-    )
-    for line in lines:
-        print(line)
-    if failures:
-        print(
-            f"\nFAIL: {len(failures)} metric(s) regressed beyond "
-            f"{tolerance:.0%} tolerance:",
-            file=sys.stderr,
-        )
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print(f"\nOK: no regression beyond {tolerance:.0%} tolerance")
     return 0
 
 

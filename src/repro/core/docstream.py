@@ -17,8 +17,8 @@ documents that never end.  :class:`DocumentStreamSession`
   entries return to the free list) while *keeping* subscriptions alive and
   their ``delivered`` counters advancing — unlike ``engine.reset()``,
   which zeroes them.  Nothing grows with the number of documents
-  processed, which is what the M5 soak benchmark asserts over millions of
-  elements.
+  processed, which ``tests/core/test_docstream.py::TestFlatMemory``
+  asserts with a traced-memory bound.
 * **Per-window stats** — every ``window_documents`` completed documents
   the session seals a :class:`WindowStats` (``docs/s``, ``elements/s``,
   ``matches/s``, peak live stack entries, per-document processing-latency
@@ -611,7 +611,7 @@ class WindowStats:
             self.latency_max_ms = 0.0
 
     def as_dict(self) -> Dict[str, Union[int, float]]:
-        """Flat JSON-able form (bench reports, ``/stats``)."""
+        """Flat JSON-able form (``/stats``)."""
         return {
             "index": self.index,
             "documents": self.documents,

@@ -46,6 +46,7 @@ from ..xmlstream.tokenizer import (
     StreamTokenizer,
     decode_entities,
     memoise_start_tag,
+    normalise_line_ends,
     parse_attribute_string,
 )
 
@@ -107,7 +108,7 @@ def fused_pure_multi_evaluate(
     """
     kernel.deliveries = deliveries
     try:
-        return _fused_pure_multi_scan(kernel, document)
+        return _fused_pure_multi_scan(kernel, normalise_line_ends(document))
     except XMLSyntaxError:
         # Entity/attribute errors raised mid-scan: let the event pipeline
         # re-derive the canonical error message and line number.

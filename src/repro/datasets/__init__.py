@@ -1,4 +1,4 @@
-"""Synthetic datasets used by tests, examples and the benchmark harness.
+"""Synthetic datasets used by tests, examples and ``vitex generate``.
 
 The Georgetown PIR Protein Sequence Database used by the paper is not
 redistributable, so :mod:`repro.datasets.protein` generates a structurally

@@ -108,7 +108,3 @@ class CheckpointError(EngineError):
 
 class DatasetError(ViteXError):
     """Raised when a synthetic dataset generator receives invalid parameters."""
-
-
-class BenchmarkError(ViteXError):
-    """Raised by the benchmark harness for invalid workload configurations."""

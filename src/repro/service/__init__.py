@@ -15,7 +15,7 @@ package is that process:
   :class:`~repro.core.session.StreamSession`, bounded per-client outboxes
   with drop-oldest backpressure, graceful teardown;
 * :mod:`repro.service.client` — the asyncio client used by ``vitex
-  publish`` / ``vitex subscribe`` and the M2 benchmark.
+  publish`` / ``vitex subscribe``.
 """
 
 from .client import ServiceClient, ServiceConnection, ServiceError

@@ -6,7 +6,7 @@ Public surface:
 * the from-scratch incremental tokenizer and the ``xml.sax`` bridge exposed
   through a single :func:`iter_events` entry point,
 * a lightweight in-memory DOM used as the correctness oracle,
-* serializers and well-formedness utilities.
+* serializers.
 """
 
 from .events import (
@@ -37,26 +37,11 @@ from .serializer import (
     serialize_events,
 )
 from .tokenizer import StreamTokenizer, tokenize, tokenize_chunks
-from .wellformed import (
-    DepthTracker,
-    WellFormednessReport,
-    check_well_formed,
-    validate_event_stream,
-)
-from .paths import (
-    StructureSummary,
-    element_label,
-    element_path,
-    path_counts,
-    summarize_structure,
-    tag_histogram,
-)
 
 __all__ = [
     "Characters",
     "Comment",
     "DEFAULT_CHUNK_SIZE",
-    "DepthTracker",
     "Document",
     "Element",
     "EVENTS_PER_FRAME",
@@ -75,24 +60,15 @@ __all__ = [
     "StartElement",
     "StreamReader",
     "StreamTokenizer",
-    "StructureSummary",
     "TreeBuilder",
-    "WellFormednessReport",
     "build_tree",
-    "check_well_formed",
-    "element_label",
-    "element_path",
     "event_batches",
     "iter_events",
     "parse_document",
-    "path_counts",
     "read_document",
     "serialize_document",
     "serialize_element",
     "serialize_events",
-    "summarize_structure",
-    "tag_histogram",
     "tokenize",
     "tokenize_chunks",
-    "validate_event_stream",
 ]

@@ -8,9 +8,8 @@ with pluggable, interchangeable back-ends:
   bulk-scanning tokenizer from :mod:`repro.xmlstream.tokenizer`; pure Python,
   fully streaming.
 * ``parser="expat"`` — the C-accelerated ``xml.parsers.expat`` parser driven
-  directly by :mod:`repro.xmlstream.expat_backend`.  This is the back-end the
-  benchmark harness uses to report the "SAX parsing" component of end-to-end
-  time, mirroring the paper's 4.43 s / 6.02 s breakdown.
+  directly by :mod:`repro.xmlstream.expat_backend`; the paper's 4.43 s /
+  6.02 s breakdown timed a C SAX parser like it.
 
 Both produce identical event sequences (verified by differential and
 property-based conformance tests), so the engine is back-end agnostic.

@@ -152,6 +152,13 @@ def parse_attribute_string(
     return tuple(attributes)
 
 
+def normalise_line_ends(text: str) -> str:
+    """``\r\n`` and a lone ``\r`` become ``\n`` (XML 1.0 §2.11)."""
+    if "\r" in text:
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def decode_entities(text: str, line: Optional[int] = None) -> str:
     """Resolve predefined entities and character references in ``text``.
 
@@ -254,8 +261,14 @@ class StreamTokenizer:
         if not self._started:
             self._started = True
             self._emit(StartDocument(position=self._next_position()))
-        self._buffer += chunk
+        buffer = self._buffer + chunk
+        # A trailing ``\r`` waits at the end of the carried tail until the
+        # next chunk shows whether a ``\n`` follows it (one line end).
+        held = buffer[-1:] == "\r"
+        self._buffer = normalise_line_ends(buffer[:-1] if held else buffer)
         self._scan()
+        if held:
+            self._buffer += "\r"
         return self._drain()
 
     def feed_bytes(self, chunk: bytes) -> List[Event]:
@@ -288,6 +301,7 @@ class StreamTokenizer:
             # the middle of a multibyte sequence.  The flushed text joins the
             # buffer and is consumed by the final _scan below.
             self._buffer += self._byte_decoder.decode(b"", final=True)
+        self._buffer = normalise_line_ends(self._buffer)  # a held trailing \r
         if not self._started:
             self._started = True
             self._emit(StartDocument(position=self._next_position()))

@@ -6,7 +6,12 @@ import pytest
 
 from repro.baselines.naive import NaiveStreamingEvaluator, evaluate_naive
 from repro.core.engine import evaluate
-from repro.datasets.recursive import small_recursive_document
+from repro.core.engine import TwigMEvaluator
+from repro.datasets.recursive import (
+    RecursiveBookGenerator,
+    RecursiveConfig,
+    small_recursive_document,
+)
 from repro.errors import StreamStateError
 from repro.xmlstream.tokenizer import tokenize
 from repro.xpath.generator import linear_descendant_query
@@ -74,11 +79,41 @@ class TestEnumerationCost:
         query = linear_descendant_query("section", steps)
         naive = NaiveStreamingEvaluator(query)
         naive.evaluate(document)
-        from repro.core.engine import TwigMEvaluator
-
         twigm = TwigMEvaluator(query)
         twigm.evaluate(document)
         assert naive.statistics.records_created > 2 * twigm.statistics.pushes
+
+    def test_twigm_work_stays_polynomial_in_query_size(self):
+        """E3: ``//section[author]`` x k over sections nested 10 deep.
+
+        The naive record count accelerates with every added step while
+        TwigM's work stays within k times its single-step work.
+        """
+        document = RecursiveBookGenerator(
+            RecursiveConfig(
+                section_depth=10,
+                table_depth=4,
+                section_groups=2,
+                cells_per_table=2,
+                author_probability=1.0,
+                position_probability=1.0,
+                noise_per_section=0,
+            ),
+            seed=21,
+        ).text()
+        naive_records, twigm_work = [], []
+        for steps in range(1, 6):
+            query = linear_descendant_query("section", steps, predicate_tag="author")
+            naive = NaiveStreamingEvaluator(query)
+            naive_keys = naive.evaluate(document).keys()
+            twigm = TwigMEvaluator(query)
+            assert twigm.evaluate(document).keys() == naive_keys
+            naive_records.append(naive.statistics.records_created)
+            twigm_work.append(twigm.statistics.work_units())
+        deltas = [b - a for a, b in zip(naive_records, naive_records[1:])]
+        assert all(later >= earlier for earlier, later in zip(deltas, deltas[1:]))
+        assert naive_records[-1] > 3 * twigm_work[-1]
+        assert twigm_work[-1] <= twigm_work[0] * 5 * 4
 
     def test_statistics_dictionary(self, simple_doc):
         naive = NaiveStreamingEvaluator("//book[author]/@id")

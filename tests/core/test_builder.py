@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.builder import CompiledQueryCache, build_machine
 from repro.xpath.ast import Axis
+from repro.xpath.generator import linear_descendant_query
 from repro.xpath.normalize import compile_query
 
 
@@ -111,6 +112,13 @@ class TestBuilderLinearity:
             query = "".join("//a[p]" for _ in range(steps))
             machine = build_machine(query)
             assert machine.size == 2 * steps
+
+    @pytest.mark.parametrize("steps", [1, 5, 10, 25, 50, 100, 200])
+    def test_one_node_per_step_and_per_predicate(self, steps):
+        # E4 (construction linear in |Q|): //a[b] repeated k times compiles
+        # to exactly k step nodes plus k predicate nodes, up to 200 steps.
+        machine = build_machine(compile_query(linear_descendant_query("a", steps, predicate_tag="b")))
+        assert machine.size == 2 * steps
 
     def test_describe_mentions_all_labels(self):
         machine = build_machine("//section[author]//table[position]//cell")

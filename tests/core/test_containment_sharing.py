@@ -9,6 +9,8 @@ unfixed, because a family anchor emits at the output element's own end tag.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from repro.core.multi import MultiQueryEvaluator
 from repro.core.results import MemberCollector
 from repro.errors import EngineError, XMLSyntaxError, XPathSyntaxError
 from repro.xmlstream.sax import iter_events
+from repro.xpath.generator import refinement_family_queries
 
 #: A refinement family of ``//c``: every query is linear, predicate-free and
 #: selects a ``c`` element, so all five share one anchor machine.
@@ -124,6 +127,28 @@ class TestSharingStructure:
                 assert isinstance(collector, MemberCollector)
                 assert all(anchor[s.key()] is s for s in collector.solutions())
             assert (len(one.group.collector), len(two.group.collector)) == (2, 4)
+
+    def test_many_families_collapse_to_one_anchor_each(self):
+        """2 000 subscriptions over 50 families: 50 machines, each tag
+        dispatched to one runtime, answers from the oracle."""
+        rng = random.Random(9)
+        labels = [rng.randrange(50) for _ in range(10)]  # registered families
+        labels += [50 + rng.randrange(750) for _ in range(200)]  # labels no query names
+        rng.shuffle(labels)
+        document = "<feed>" + "".join(
+            f"<r><s{i}><v{i}>x{rng.randrange(5)}</v{i}></s{i}></r>" for i in labels
+        ) + "</feed>"
+        queries = refinement_family_queries(2000, families=50)
+        with MultiQueryEvaluator(collect_statistics=False) as evaluator:
+            evaluator.subscribe_many(queries)
+            stats = evaluator.stats()
+            assert stats.machines == stats.families == 50
+            results = evaluator.evaluate(document, parser="pure")
+            assert evaluator.stats().peak_dispatch_fanout == 1
+            oracle = {q: evaluate_with_dom(q, document).keys() for q in set(queries)}
+            assert sum(len(keys) for keys in oracle.values()) > 0
+            for subscription in evaluator.subscriptions:
+                assert results[subscription.name].keys() == oracle[subscription.source]
 
     def test_mid_stream_member_gets_private_machine(self):
         with MultiQueryEvaluator() as evaluator:

@@ -9,8 +9,13 @@ evaluating each document one-shot, at any chunk split, on both backends.
 
 from __future__ import annotations
 
+import gc
+import random
+import tracemalloc
+
 import pytest
 
+from repro.core import docstream
 from repro.core.docstream import (
     DocumentBoundaryScanner,
     DocumentStreamSession,
@@ -393,3 +398,108 @@ class TestFacade:
         assert len(received) == 2
         assert all(isinstance(m, Match) and m.name == "late" for m in received)
         engine.close()
+
+
+# --------------------------------------------------------------------------
+# flat memory over an unbounded stream
+
+
+def ticker_document(entries: int, alert_every: int, seed: int) -> str:
+    """One stock-ticker document: ``1 + 3 * entries`` elements.
+
+    A ``<ticker>`` root holding ``entries`` records of three elements each
+    (``<quote s=..><price>..</price><vol>..</vol></quote>``).  Every
+    ``alert_every``-th record is an ``<alert>`` instead of a ``<quote>``;
+    the standing queries target alerts, so delivery stays sparse and the
+    stream's memory is the engine's, not the solutions'.
+    """
+    rng = random.Random(seed)
+    parts = ["<ticker>"]
+    for i in range(entries):
+        tag = "alert" if i % alert_every == alert_every - 1 else "quote"
+        price = f"{rng.randrange(1, 500)}.{rng.randrange(100):02d}"
+        parts.append(
+            f'<{tag} s="S{rng.randrange(1000):03d}">'
+            f"<price>{price}</price><vol>{rng.randrange(100, 100_000)}</vol></{tag}>"
+        )
+    parts.append("</ticker>")
+    return "".join(parts)
+
+
+SOAK_QUERIES = ("//alert[price]", "/ticker/alert//vol", "//alert/price")
+SOAK_DOCUMENTS = 100
+SOAK_WINDOW = 20  # documents per sealed window
+SOAK_WARMUP_WINDOWS = 2  # 40 documents: longer than the retention spool
+SOAK_RETAIN = 16
+
+
+def flat_memory_bound(baseline: int) -> int:
+    """Allowed steady growth in traced bytes past the warm baseline."""
+    return int(0.10 * baseline) + 64 * 1024
+
+
+def soak(parser: str):
+    """Stream ticker documents through one retaining session.
+
+    Returns ``(baseline, high, matches)``: traced bytes after the last
+    warm-up window, the highest traced bytes after any later window, and
+    the solutions delivered.  Each sample is taken after ``gc.collect()``
+    once the feed call that sealed its window has returned, never inside
+    ``on_window``.
+    """
+    corpus = [ticker_document(40, alert_every=20, seed=17 + i) for i in range(8)]
+    sealed = []
+    samples = []
+    engine = MultiQueryEvaluator()
+    for query in SOAK_QUERIES:
+        engine.subscribe(query)
+    session = engine.document_stream(
+        parser=parser,
+        retain_documents=SOAK_RETAIN,
+        window_documents=SOAK_WINDOW,
+        on_window=sealed.append,
+    )
+    matches = 0
+    tracemalloc.start()
+    try:
+        for index in range(SOAK_DOCUMENTS):
+            document = corpus[index % len(corpus)]
+            # Split each document so the boundary scanner sees mid-document
+            # chunk edges, the shape an endless socket feed produces.
+            midpoint = len(document) // 2
+            matches += len(session.feed_text(document[:midpoint]))
+            matches += len(session.feed_text(document[midpoint:]))
+            if len(sealed) > len(samples):
+                gc.collect()
+                samples.append(tracemalloc.get_traced_memory()[0])
+        assert session.stats()["spool"]["documents"] == SOAK_RETAIN
+    finally:
+        tracemalloc.stop()
+        session.close()
+        engine.close()
+    assert len(samples) == SOAK_DOCUMENTS // SOAK_WINDOW
+    baseline = samples[SOAK_WARMUP_WINDOWS - 1]
+    return baseline, max(samples[SOAK_WARMUP_WINDOWS:]), matches
+
+
+class TestFlatMemory:
+    @pytest.mark.parametrize("parser", ["pure", "expat"])
+    def test_traced_memory_stays_flat(self, parser):
+        baseline, high, matches = soak(parser)
+        # 100 documents, two alerts each, three queries, one solution per
+        # query and alert.
+        assert matches == SOAK_DOCUMENTS * 2 * len(SOAK_QUERIES)
+        assert high - baseline <= flat_memory_bound(baseline), (baseline, high)
+
+    def test_bound_catches_a_leak_of_4kb_per_document(self, monkeypatch):
+        kept = []
+        feed_text = docstream.DocumentStreamSession.feed_text
+
+        def leaky_feed_text(self, chunk):
+            kept.append(bytearray(2048))  # two feeds per document
+            return feed_text(self, chunk)
+
+        monkeypatch.setattr(docstream.DocumentStreamSession, "feed_text", leaky_feed_text)
+        # pure: the larger warm baseline, so the looser of the two bounds
+        baseline, high, _ = soak("pure")
+        assert high - baseline > flat_memory_bound(baseline), (baseline, high)

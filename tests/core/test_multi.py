@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.engine import TwigMEvaluator, evaluate
@@ -422,3 +424,43 @@ class TestSubscriptionScenario:
             assert results[name].keys() == evaluate(
                 evaluator._subscriptions[name].query, document
             ).keys()
+
+
+def _record_feed(label_count, records, seed):
+    """A flat ``<feed>`` of records, each with its own ``s{i}/v{i}`` tag pair
+    inside a shared ``r`` wrapper."""
+    rng = random.Random(seed)
+    parts = ["<feed>"]
+    for _ in range(records):
+        i = rng.randrange(label_count)
+        parts.append(f'<r seq="{i}"><s{i}><v{i}>x{rng.randrange(5)}</v{i}></s{i}></r>')
+    parts.append("</feed>")
+    return "".join(parts)
+
+
+#: M1 query mixes over the record feed: private label sets, a shared
+#: wrapper step, and one query registered many times.
+QUERY_MIXES = {
+    "disjoint": lambda count: [f"//s{i % 40}/v{i % 40}" for i in range(count)],
+    "overlapping": lambda count: [f"//r/s{i % 40}" for i in range(count)],
+    "duplicate": lambda count: ["//r//s0[v0]"] * count,
+}
+
+
+class TestQueryMixes:
+    @pytest.mark.parametrize("kind", sorted(QUERY_MIXES))
+    @pytest.mark.parametrize("count", [10, 200])
+    def test_shared_pass_matches_independent_runs(self, kind, count):
+        document = _record_feed(label_count=40, records=300, seed=3)
+        queries = QUERY_MIXES[kind](count)
+        with MultiQueryEvaluator() as evaluator:
+            for index, query in enumerate(queries):
+                evaluator.subscribe(query, name=f"q{index}")
+            results = evaluator.evaluate(document)
+            if kind == "duplicate":
+                assert evaluator.machine_count == 1
+        independent = {query: evaluate(query, document).keys() for query in set(queries)}
+        assert len(results) == count
+        assert sum(1 for keys in independent.values() if keys) >= len(independent) - 1
+        for index, query in enumerate(queries):
+            assert results[f"q{index}"].keys() == independent[query]

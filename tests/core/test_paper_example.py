@@ -22,6 +22,7 @@ from repro.datasets.figures import (
     FIGURE_1_QUERY,
     FIGURE_1_XML,
 )
+from repro.datasets.recursive import RecursiveBookGenerator, RecursiveConfig
 from repro.xmlstream.dom import parse_document
 
 
@@ -104,6 +105,30 @@ class TestPatternMatchAccounting:
         twigm = TwigMEvaluator(FIGURE_1_QUERY)
         twigm.evaluate(FIGURE_1_XML)
         assert naive.statistics.records_created > twigm.statistics.pushes
+
+    def test_work_gap_widens_on_deeper_nesting(self):
+        """On a Figure-1-shaped document nested 12 deep, naive enumeration
+        stores many more records per TwigM push than on Figure 1 itself."""
+        deep = RecursiveBookGenerator(
+            RecursiveConfig(
+                section_depth=12,
+                table_depth=6,
+                section_groups=3,
+                cells_per_table=2,
+                author_probability=0.5,
+                position_probability=0.5,
+                noise_per_section=0,
+            ),
+            seed=31,
+        ).text()
+        ratios = []
+        for document in (FIGURE_1_XML, deep):
+            naive = NaiveStreamingEvaluator(FIGURE_1_QUERY)
+            naive_keys = naive.evaluate(document).keys()
+            twigm = TwigMEvaluator(FIGURE_1_QUERY)
+            assert twigm.evaluate(document).keys() == naive_keys
+            ratios.append(naive.statistics.records_created / twigm.statistics.pushes)
+        assert ratios[1] > ratios[0]
 
     def test_incremental_emission_happens_at_outer_section_close(self):
         """The solution is only confirmed once the author element has been seen."""

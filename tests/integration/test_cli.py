@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets.figures import FIGURE_1_QUERY, FIGURE_1_XML
+from repro.xmlstream.dom import parse_document
 
 
 @pytest.fixture
@@ -77,42 +78,17 @@ class TestGenerateCommand:
         exit_code = main(["generate", dataset, str(output), "--size-mb", "0.05"])
         assert exit_code == 0
         assert output.exists()
-        from repro.xmlstream.wellformed import check_well_formed
-
-        assert check_well_formed(str(output)).well_formed
+        parse_document(output.read_text(encoding="utf-8"))  # raises XMLSyntaxError when malformed
         assert "wrote" in capsys.readouterr().out
 
 
-class TestBenchCommand:
-    def test_bench_builder_linear_quick(self, capsys):
-        exit_code = main(["bench", "builder-linear", "--quick"])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "E4" in captured.out
-
-    def test_bench_incremental_latency_quick(self, capsys):
-        exit_code = main(["bench", "incremental-latency", "--quick"])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "latency" in captured.out.lower()
-
-    def test_bench_multiquery_quick_writes_json(self, capsys, tmp_path):
-        import json
-
-        target = tmp_path / "BENCH_multiquery.json"
-        exit_code = main(["bench", "multiquery", "--quick", "--json", str(target)])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "M1" in captured.out
-        payload = json.loads(target.read_text(encoding="utf-8"))
-        assert payload["experiment"] == "multiquery"
-        mixes = {row["mix"] for row in payload["rows"]}
-        assert mixes == {"disjoint", "overlapping", "duplicate"}
-        duplicate_rows = [
-            row for row in payload["rows"]
-            if row["mix"] == "duplicate" and row["queries"] > 1
-        ]
-        assert all(row["machines"] == 1 for row in duplicate_rows)
+class TestRemovedVerbs:
+    def test_bench_is_not_a_verb(self, capsys):
+        # perfbench (python3 -m perfbench) is the only benchmark.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "pipeline"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestWatchCommand:
@@ -283,7 +259,7 @@ class TestParser:
 
 #: Every verb that parses XML (or forwards a backend selection) must accept
 #: the one shared ``--parser`` flag.
-PARSING_VERBS = ("run", "watch", "serve", "resume", "publish", "bench")
+PARSING_VERBS = ("run", "watch", "serve", "resume", "publish")
 
 
 def _subparsers():
@@ -326,7 +302,6 @@ class TestSharedParserFlag:
             "serve": ["serve"],
             "resume": ["resume", "ck.json"],
             "publish": ["publish", "f.xml"],
-            "bench": ["bench", "pipeline"],
         }
         for verb, argv in argv_by_verb.items():
             for backend in ("pure", "native", "expat"):

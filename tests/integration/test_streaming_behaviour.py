@@ -7,6 +7,8 @@ production, and scalable memory.
 
 from __future__ import annotations
 
+import tracemalloc
+
 from repro.core.engine import TwigMEvaluator, stream_evaluate
 from repro.datasets.newsfeed import NewsFeedConfig, NewsFeedGenerator
 from repro.datasets.protein import ProteinConfig, ProteinDatabaseGenerator
@@ -60,6 +62,19 @@ class TestIncrementalResults:
         count = sum(1 for _ in stream_evaluate(generator.CANONICAL_QUERY, generator.chunks()))
         assert count == generator.expected_symbol_updates("ACME")
 
+    def test_solutions_spread_across_the_stream(self):
+        # Matches sit all along the feed, so emission must follow them
+        # rather than bunch up at the end of the document.
+        generator = NewsFeedGenerator(NewsFeedConfig(updates=500), seed=14)
+        events = list(tokenize(generator.text()))
+        evaluator = TwigMEvaluator(generator.CANONICAL_QUERY)
+        emitted_at = []
+        for index, event in enumerate(events):
+            emitted_at.extend(index for _ in evaluator.feed(event))
+        evaluator.finish()
+        assert len(emitted_at) == generator.expected_symbol_updates("ACME")
+        assert emitted_at[len(emitted_at) // 2] < len(events) * 0.85
+
     def test_emission_order_is_stream_order_for_independent_matches(self):
         document = "<r>" + "".join(f"<x n='{i}'/>" for i in range(20)) + "</r>"
         values = [s.value for s in stream_evaluate("//x/@n", document)]
@@ -78,6 +93,27 @@ class TestBoundedState:
             return evaluator.statistics.peak_stack_entries
 
         assert peak_state(large) <= peak_state(small) + 2
+
+    def test_peak_allocation_does_not_scale_with_document_size(self):
+        # The paper's "stable at 1 MB" (Feature 3), adapted: streaming an 8x
+        # larger document from chunks keeps the traced allocation peak in
+        # single-digit MB and far from 8x.
+        def peak_allocation_mb(target_bytes):
+            generator = ProteinDatabaseGenerator(ProteinConfig(target_bytes=target_bytes), seed=11)
+            tracemalloc.start()
+            try:
+                evaluator = TwigMEvaluator("//ProteinEntry[reference]/@id")
+                evaluator.evaluate(generator.chunks())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak / (1024 * 1024), evaluator.statistics.elements
+
+        small, small_elements = peak_allocation_mb(50 * 1024)
+        large, large_elements = peak_allocation_mb(400 * 1024)
+        assert large_elements > 4 * small_elements
+        assert large < 8.0
+        assert large < small * 3 + 1.0
 
     def test_peak_candidates_track_pending_predicates_not_document_size(self):
         # All references sit inside the entry, so candidates never pile up

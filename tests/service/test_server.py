@@ -9,10 +9,11 @@ than the push round-trips being awaited.
 from __future__ import annotations
 
 import asyncio
+import random
 
 import pytest
 
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import ServiceClient, ServiceConnection, ServiceError
 from repro.service.server import ServiceServer
 
 TIMEOUT = 5.0
@@ -366,6 +367,47 @@ class TestLocalSubscriptions:
             finally:
                 await publisher.close()
                 await server.close()
+
+        run(scenario())
+
+
+class TestManySubscribers:
+    def test_hundred_subscribers_each_get_every_solution(self):
+        """100 subscriber connections on disjoint queries over one chunked
+        feed: each receives exactly its ground truth and nothing drops."""
+        rng = random.Random(7)
+        labels = [rng.randrange(100) for _ in range(400)]
+        document = "<feed>" + "".join(
+            f'<r seq="{i}"><s{i}><v{i}>x{rng.randrange(5)}</v{i}></s{i}></r>' for i in labels
+        ) + "</feed>"
+
+        async def scenario():
+            server = await _start()
+            host, port = server.address
+            subscribers = []
+            try:
+                for i in range(100):
+                    subscriber = await ServiceConnection.connect(host, port)
+                    subscribers.append(subscriber)
+                    await subscriber.subscribe(f"//s{i}/v{i}", name=f"q{i}")
+
+                async def count(subscriber):
+                    return sum([1 async for _ in subscriber.solutions(stop_at_eof=True)])
+
+                consumers = [asyncio.ensure_future(count(s)) for s in subscribers]
+                publisher = await ServiceConnection.connect(host, port)
+                subscribers.append(publisher)
+                for start in range(0, len(document), 4096):
+                    await publisher.feed(document[start:start + 4096])
+                await publisher.finish()
+                received = await asyncio.gather(*consumers)
+                stats = await publisher.stats()
+            finally:
+                for subscriber in subscribers:
+                    await subscriber.close()
+                await server.close()
+            assert received == [labels.count(i) for i in range(100)]
+            assert sum(d["dropped"] for d in stats["subscription_detail"].values()) == 0
 
         run(scenario())
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import (
-    BenchmarkError,
     DatasetError,
     EncodingError,
     EngineError,
@@ -32,7 +31,6 @@ class TestHierarchy:
             EngineError,
             StreamStateError,
             DatasetError,
-            BenchmarkError,
         ],
     )
     def test_everything_derives_from_vitex_error(self, exception_type):

@@ -102,6 +102,10 @@ CORPUS = [
     "<a><?pi data here?><b/></a>",
     "<a x='1' y=\"2\" z='&amp;'>v</a>",
     "<a>\n<d\n\n key='2'/>\n<b\n>x</b\n><c k='1'\n  j='2'\n/></a>",
+    # XML 1.0 §2.11: \r\n and a lone \r are read as one \n
+    "<a>x\r\ny</a>",
+    "<a>x\ry</a>",
+    "<r>\r<a/>\r\n<a/></r>",
 ]
 
 
@@ -145,6 +149,14 @@ class TestCorpusConformance:
                     iter_events(document, parser="expat", chunk_size=chunk_size)
                 )
                 assert pure == expat
+
+    def test_identical_solutions_on_corpus(self):
+        """The fused scans agree too: values and NodeRef.line, element and text."""
+        for document in CORPUS:
+            for query in ("//*", "//*/text()"):
+                pure = TwigMEvaluator(query).evaluate(document, parser="pure")
+                expat = TwigMEvaluator(query).evaluate(document, parser="expat")
+                assert pure.solutions == expat.solutions, (document, query)
 
     def test_pure_alias_matches_native(self):
         for document in CORPUS:

@@ -32,6 +32,20 @@ NASTY_DOC = (
 )
 
 
+#: Line ends the pure tokenizer must normalise as expat does (XML 1.0 §2.11).
+LINE_END_DOCS = ("<a>x\r\ny</a>", "<a>x\ry</a>", "<r>\r<a/>\r\n<a/></r>")
+
+
+def _shape(events):
+    """Text, element names and start-tag lines: what expat and pure share."""
+    return [
+        (type(e).__name__, getattr(e, "name", None), getattr(e, "text", None),
+         e.line if type(e).__name__ == "StartElement" else None)
+        for e in events
+        if type(e).__name__ in ("StartElement", "EndElement", "Characters")
+    ]
+
+
 def _events_from_chunks(chunks):
     tokenizer = StreamTokenizer()
     events = []
@@ -48,6 +62,15 @@ class TestEveryByteOffset:
         for offset in range(len(data) + 1):
             events = _events_from_chunks([data[:offset], data[offset:]])
             assert events == expected, f"split at byte {offset} diverged"
+
+    @pytest.mark.parametrize("doc", LINE_END_DOCS)
+    def test_line_ends_match_expat_at_every_offset(self, doc):
+        data = doc.encode("utf-8")
+        source = ExpatEventSource()
+        expected = _shape(source.feed_bytes(data) + source.close())
+        for offset in range(len(data) + 1):
+            events = _events_from_chunks([data[:offset], data[offset:]])
+            assert _shape(events) == expected, f"split at byte {offset} diverged"
 
     def test_one_byte_chunks(self):
         data = NASTY_DOC.encode("utf-8")

@@ -68,6 +68,21 @@ class TestErrorTranslation:
         with pytest.raises(XMLSyntaxError):
             list(iter_events("<a><b>", parser=parser))
 
+    @pytest.mark.parametrize("parser", PARSER_BACKENDS)
+    @pytest.mark.parametrize(
+        "document,line",
+        [
+            ("<a></a></a>", 1),  # end tag with no open element
+            ("<a>\n<b></a>", 2),  # mismatched end tag
+            ("<a/><b/>", 1),  # a second root element
+            ("<a>\n\n<b>", 3),  # unclosed at end of input
+        ],
+    )
+    def test_error_reports_the_line_it_was_found_on(self, parser, document, line):
+        with pytest.raises(XMLSyntaxError) as caught:
+            list(iter_events(document, parser=parser))
+        assert caught.value.line == line
+
 
 class TestChunkedSources:
     @pytest.mark.parametrize("parser", PARSER_BACKENDS)
