@@ -4,9 +4,13 @@
 verb set:
 
 * ``TwigMEvaluator`` (one query, one machine) — single-query use is just an
-  engine with one subscription; the fused fast paths of
-  :mod:`repro.core.fastpath` are selected by the same rules as before, so
-  the facade adds no per-event cost;
+  engine with one subscription, which is what ``repro.evaluate`` runs too.
+  Measured on the perfbench one-shot inputs (seed 2005, 10 alternating
+  runs, median process CPU), a one-subscription :meth:`Engine.evaluate`
+  costs 1.03× ``repro.evaluate`` on the recursive tree (expat) and 0.98× on
+  protein (pure).  Those queries carry predicates; a lone predicate-free
+  path rides a containment family here, which ``repro.evaluate`` never
+  does, and costs up to 2.1× the CPU of a machine of its own;
 * ``MultiQueryEvaluator`` (indexed subscriptions) — :class:`Engine` wraps
   one (see :attr:`Engine.core`) and inherits its sharing machinery: shared
   compilation, shared machines, containment families, label dispatch.

@@ -402,9 +402,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    # Fragment capture and eager emission are single-machine features, so
-    # ``run`` drives the internal single-query evaluator directly (the
-    # query still goes through the compiled ``Query`` value object).
+    # ``run`` is one query: the internal one-query front end, which keeps
+    # fragment capture and eager emission (the query still goes through the
+    # compiled ``Query`` value object).
     evaluator = _SingleQueryEvaluator(
         Query(args.query), capture_fragments=args.fragments, eager_emission=args.eager
     )

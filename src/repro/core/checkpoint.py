@@ -38,7 +38,6 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..errors import CheckpointError
 from .builder import shared_compiled_cache, shared_planner
-from .engine import TwigMEvaluator
 from .queryindex import FamilyRuntime, QueryRuntime, trie_path
 from .results import (
     MemberCollector,
@@ -158,41 +157,42 @@ def decode_spool(encoded: List[List[str]]) -> List[Union[str, bytes]]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluator state
+# Runtime state
 # ---------------------------------------------------------------------------
 
 
-def evaluator_state(evaluator: TwigMEvaluator) -> Dict[str, Any]:
-    """JSON-able per-machine run state (stacks, collector, flags)."""
-    if evaluator.capture_fragments:
-        raise CheckpointError("fragment-capturing evaluators cannot be snapshotted")
+def evaluator_state(runtime: Union[QueryRuntime, FamilyRuntime]) -> Dict[str, Any]:
+    """JSON-able run state of one runtime's machine (stacks, collector,
+    flags); the ``"evaluator"`` entry of a runtime payload."""
     state: Dict[str, Any] = {
-        "element_order": evaluator._element_order,
-        "started": evaluator._started,
-        "finished": evaluator._finished,
-        "eager": evaluator.eager_emission,
-        "stacks": evaluator.machine.snapshot_stacks(),
-        "collector": collector_state(evaluator.collector),
+        "element_order": runtime.element_order,
+        "started": runtime.started,
+        "finished": runtime.finished,
+        "eager": runtime.eager,
+        "stacks": runtime.machine.snapshot_stacks(),
+        "collector": collector_state(runtime.collector),
     }
-    if evaluator.collect_statistics:
-        state["statistics"] = statistics_state(evaluator.statistics)
+    if runtime.statistics is not None:
+        state["statistics"] = statistics_state(runtime.statistics)
     return state
 
 
-def restore_evaluator(evaluator: TwigMEvaluator, state: Dict[str, Any]) -> None:
-    """Apply :func:`evaluator_state` output to a freshly built evaluator."""
+def restore_evaluator(
+    runtime: Union[QueryRuntime, FamilyRuntime], state: Dict[str, Any]
+) -> None:
+    """Apply :func:`evaluator_state` output to a freshly built runtime."""
     try:
-        evaluator.machine.restore_stacks(state["stacks"])
+        runtime.machine.restore_stacks(state["stacks"])
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc
-    collector_from_state(state["collector"], evaluator.collector)
+    collector_from_state(state["collector"], runtime.collector)
     statistics = state.get("statistics")
-    if statistics is not None:
-        evaluator.statistics = statistics_from_state(statistics)
-    evaluator.eager_emission = state.get("eager", False)
-    evaluator._element_order = state["element_order"]
-    evaluator._started = state["started"]
-    evaluator._finished = state["finished"]
+    if statistics is not None and runtime.statistics is not None:
+        runtime.statistics = statistics_from_state(statistics)
+    runtime.eager = state.get("eager", False)
+    runtime.element_order = state["element_order"]
+    runtime.started = state["started"]
+    runtime.finished = state["finished"]
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +210,10 @@ def engine_state(engine) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "source": runtime.compiled.tree.source,
             "shared": id(runtime) in shared_ids,
-            "evaluator": evaluator_state(runtime.evaluator),
+            "evaluator": evaluator_state(runtime),
         }
         if runtime.is_family:
-            # A containment-shared family: the evaluator above is the anchor
+            # A containment-shared family: the state above is the anchor
             # machine; member shapes travel as (source, collector) pairs and
             # their residual steps are re-derived from the source on restore.
             payload["family"] = True
@@ -280,46 +280,42 @@ def restore_engine_into(engine, state: Dict[str, Any]) -> None:
     try:
         for item in state["runtimes"]:
             compiled = shared_compiled_cache.acquire(item["source"])
+            anchor_label = compiled.tree.root.label
             try:
-                evaluator = TwigMEvaluator(
-                    compiled.tree, collect_statistics=engine._collect_statistics
-                )
-                restore_evaluator(evaluator, item["evaluator"])
+                if item.get("family"):
+                    runtime = FamilyRuntime(
+                        compiled, anchor_label, engine._index.context,
+                        engine._collect_statistics,
+                    )
+                else:
+                    runtime = QueryRuntime(compiled, engine._collect_statistics)
+                restore_evaluator(runtime, item["evaluator"])
             except Exception:
                 shared_compiled_cache.release(compiled)
                 raise
-            if item.get("family"):
-                anchor_label = compiled.tree.root.label
-                family = FamilyRuntime(
-                    compiled, evaluator, anchor_label, engine._index.context
-                )
-                engine._index.add(family)
-                engine._families[anchor_label] = family
-                # Visible to the teardown path before the first group is
-                # restored, so a mid-family failure still unwinds it.
-                runtimes.append(family)
-                for group_item in item.get("groups", ()):
-                    group_compiled = shared_compiled_cache.acquire(
-                        group_item["source"]
-                    )
-                    plan = shared_planner.plan(group_compiled)
-                    if plan is None or plan.anchor_label != anchor_label:
-                        shared_compiled_cache.release(group_compiled)
-                        raise CheckpointError(
-                            f"snapshot group {group_item['source']!r} does "
-                            f"not belong to the {anchor_label!r} family"
-                        )
-                    group = family.add_group(
-                        group_compiled, plan.steps, trie_path(group_compiled.tree)
-                    )
-                    engine._index.add_path(group.trie)
-                    collector_from_state(group_item["collector"], group.collector)
-                continue
-            runtime = QueryRuntime(compiled, evaluator)
             engine._index.add(runtime)
-            if item["shared"]:
-                engine._by_fingerprint[compiled.fingerprint] = runtime
+            # Visible to the teardown path before a family's first group is
+            # restored, so a mid-family failure still unwinds it.
             runtimes.append(runtime)
+            if not runtime.is_family:
+                if item["shared"]:
+                    engine._by_fingerprint[compiled.fingerprint] = runtime
+                continue
+            engine._families[anchor_label] = runtime
+            for group_item in item.get("groups", ()):
+                group_compiled = shared_compiled_cache.acquire(group_item["source"])
+                plan = shared_planner.plan(group_compiled)
+                if plan is None or plan.anchor_label != anchor_label:
+                    shared_compiled_cache.release(group_compiled)
+                    raise CheckpointError(
+                        f"snapshot group {group_item['source']!r} does "
+                        f"not belong to the {anchor_label!r} family"
+                    )
+                group = runtime.add_group(
+                    group_compiled, plan.steps, trie_path(group_compiled.tree)
+                )
+                engine._index.add_path(group.trie)
+                collector_from_state(group_item["collector"], group.collector)
         for item in state["subscriptions"]:
             runtime = runtimes[item["runtime"]]
             group_position = item.get("group")

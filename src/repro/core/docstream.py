@@ -779,7 +779,7 @@ class DocumentStreamSession:
     def live_entries(self) -> int:
         """Live stack entries across every machine right now."""
         return sum(
-            runtime.evaluator.machine.total_live_entries()
+            runtime.machine.total_live_entries()
             for runtime in self._engine._index.runtimes
         )
 
@@ -963,41 +963,35 @@ class DocumentStreamSession:
         callback: Optional[Callable[..., None]],
         name: Optional[str],
     ) -> Tuple[Any, List[Match]]:
-        from .builder import shared_compiled_cache
-        from .multi import Subscription
+        from .multi import MultiQueryEvaluator
 
         engine = self._engine
         name = engine._claim_name(name)
-        source = query if isinstance(query, str) else query.source
-        compiled = shared_compiled_cache.acquire(query)
-        runtime = engine._new_runtime(compiled)
         adapted: Optional[Callable[[Solution], None]] = callback
         if callback is not None and self._callback_adapter is not None:
             adapted = self._callback_adapter(name, callback)
-        subscription = Subscription(
-            name=name, source=source, runtime=runtime, callback=adapted
-        )
-        runtime.subscribers.append(subscription)
-        # Replay the retained window through the private machine.  The
-        # evaluator sees *every* event of each replayed document, so its own
-        # per-document pre-order counter reproduces the canonical solution
-        # identities the live engine injected at parse time.
+        # Replay the retained window through a private machine, alone on a
+        # scratch engine: that engine's kernel sees *every* event of each
+        # replayed document, so its per-document pre-order reproduces the
+        # canonical solution identities the live engine injected at parse
+        # time.
+        replay = MultiQueryEvaluator(collect_statistics=engine._collect_statistics)
+        subscription = replay._subscribe(query, adapted, name)
+        runtime = subscription.runtime
         pairs: List[Match] = []
         assert self._spool is not None
         try:
             for sealed, frames in self._spool.replay_units():
                 decoder = EventFrameDecoder()
-                feed = runtime.evaluator.feed
                 for frame in frames:
-                    for event in decoder.decode(frame):
-                        solutions = feed(event)
-                        if solutions:
-                            runtime.deliver(solutions, pairs)
+                    replay._kernel.run(decoder.decode(frame), pairs)
                 if sealed:
-                    runtime.reset()
+                    replay._kernel.reset()
         except Exception:
-            shared_compiled_cache.release(compiled)
+            replay.close()
             raise
+        del replay._subscriptions[name]
+        replay._index.remove(runtime)
         # Graft into live dispatch: the machine is warm at exactly the
         # engine's current position, so the next engine.push continues the
         # document with no duplicate and no gap.

@@ -8,12 +8,11 @@ here hand tags straight to a :class:`~repro.core.kernel.Kernel`, the one
 code that runs the transitions of :mod:`repro.core.transitions`; they keep
 only tokenising, well-formedness checks, line numbers and — in locals, so
 an undispatched tag costs no call — pre-order, depth and the ancestor
-chain.  Both engines use them: :class:`MultiQueryEvaluator` over its
-:class:`~repro.core.queryindex.QueryIndex`, :class:`TwigMEvaluator` over a
-one-entry index.
+chain.  :meth:`MultiQueryEvaluator.evaluate` is the one place that picks
+them (push sessions also drive the expat driver chunk by chunk).
 
-* :func:`fused_pure_multi_evaluate` — the one pure scan, behind both
-  engines' ``evaluate()`` on in-memory ``str`` documents, where chunking
+* :func:`fused_pure_multi_evaluate` — the one pure scan, behind
+  ``evaluate()`` on in-memory ``str`` documents, where chunking
   buys no memory advantage.  It walks the document once.  Tags are
   recognised under the tag-memo policy of :mod:`repro.xmlstream.tokenizer`
   (which states the soundness argument and the cap): a start tag seen
@@ -28,9 +27,6 @@ one-entry index.
 * :class:`FusedExpatDriver` — the expat callbacks, one-shot or push
   (session) mode.  Works for any (possibly streaming) source and keeps
   expat's constant-memory behaviour.
-
-Both also report the stream-level counts (:data:`StreamShape`), from which
-the single-query engine records the event pipeline's counters exactly.
 """
 
 from __future__ import annotations
@@ -49,13 +45,6 @@ from ..xmlstream.tokenizer import (
     normalise_line_ends,
     parse_attribute_string,
 )
-
-#: What a driver saw of the stream: ``(elements, attributes, max_depth,
-#: text_runs, misc_events)`` — text runs coalesced the way the event
-#: pipeline emits ``Characters``, misc events = comments + processing
-#: instructions.
-StreamShape = Tuple[int, int, int, int, int]
-
 
 def _scan_misc(doc: str, lt: int) -> Optional[Tuple[int, bool, Optional[str]]]:
     """Recognise the uncommon construct at ``doc[lt] == '<'``.
@@ -90,20 +79,19 @@ def _scan_misc(doc: str, lt: int) -> Optional[Tuple[int, bool, Optional[str]]]:
 
 
 def fused_pure_multi_evaluate(
-    kernel, document: str, deliveries: MutableSequence
-) -> Optional[StreamShape]:
+    kernel, document: str, deliveries: Optional[MutableSequence]
+) -> Optional[int]:
     """Run every indexed runtime over one bulk scan of ``document``.
 
     ``kernel`` is the :class:`~repro.core.kernel.Kernel` over the engine's
-    index.  ``deliveries`` receives ``(runtime, solutions)`` pairs in
-    emission order (:meth:`Kernel.deliver` hands them out).  Deliveries are
-    *buffered* rather than fanned out immediately: when the scan bails out
-    (returns ``None``) the caller resets the machines and replays through
-    the event pipeline, and buffering guarantees no subscriber callback
-    fires twice.  A caller with no subscribers to fan out to passes a sink
-    that keeps nothing.
+    index.  ``deliveries``, when given, receives ``(runtime, solutions)``
+    pairs in emission order (:meth:`Kernel.deliver` hands them out): when
+    the scan bails out (returns ``None``) the caller resets the machines and
+    replays through the event pipeline, and buffering guarantees no
+    subscriber callback fires twice.  A caller with no callback to protect
+    passes ``None`` and solutions are delivered at once.
 
-    Returns the :data:`StreamShape` on success, or ``None`` when the
+    Returns the document's element count on success, or ``None`` when the
     document needs the general pipeline.
     """
     kernel.deliveries = deliveries
@@ -117,7 +105,7 @@ def fused_pure_multi_evaluate(
         kernel.deliveries = None
 
 
-def _fused_pure_multi_scan(kernel, doc: str) -> Optional[StreamShape]:
+def _fused_pure_multi_scan(kernel, doc: str) -> Optional[int]:
     n = len(doc)
     find = doc.find
     count = doc.count
@@ -156,15 +144,11 @@ def _fused_pure_multi_scan(kernel, doc: str) -> Optional[StreamShape]:
     line = 1
     line_pos = 0
     root_closed = False
-    # What the stream looks like is counted in locals.  ``text_runs``
-    # emulates the event pipeline's text coalescing: one Characters event
-    # per run of text flushed by a structural event, comment or processing
-    # instruction.
+    # ``text_runs`` emulates the event pipeline's text coalescing: one
+    # Characters event per run of text flushed by a structural event,
+    # comment or processing instruction.
     pending_text = False
     text_runs = 0
-    misc_events = 0
-    attribute_count = 0
-    max_depth = 0
 
     while index_pos < n:
         lt = find("<", index_pos)
@@ -244,10 +228,6 @@ def _fused_pure_multi_scan(kernel, doc: str) -> Optional[StreamShape]:
             open_tags.append(hit)
             open_elements.append(name)
             level = len(open_tags)
-            if attributes:
-                attribute_count += len(attributes)
-            if level > max_depth:
-                max_depth = level
             if runtimes:
                 # The line the tag begins on, as expat reports it.
                 line += count("\n", line_pos, lt)
@@ -272,7 +252,6 @@ def _fused_pure_multi_scan(kernel, doc: str) -> Optional[StreamShape]:
             if pending_text:
                 pending_text = False
                 text_runs += 1
-            misc_events += 1
         elif cdata:
             if not open_elements:
                 if cdata.strip():
@@ -287,7 +266,7 @@ def _fused_pure_multi_scan(kernel, doc: str) -> Optional[StreamShape]:
     # Every text run reached the text-collecting runtimes, and only them
     # (the indexed feed path dispatches text events to those alone).
     kernel.text_runs(text_runtimes, text_runs)
-    return order, attribute_count, max_depth, text_runs, misc_events
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +284,7 @@ class FusedExpatDriver:
     subscribers, and appended to the kernel's ``emitted`` list when it has
     one) immediately as they are found — expat either completes or raises,
     there is no replay, so immediate delivery matches the incremental
-    semantics of the event pipeline.  The driver also counts the stream's
-    :data:`StreamShape` (:attr:`shape`), from which the single-query engine
-    records the event pipeline's counters.
+    semantics of the event pipeline.
 
     Two driving modes share the callbacks:
 
@@ -344,23 +321,11 @@ class FusedExpatDriver:
         self._order = 0
         self._pending_text = False
         self._fed_bytes = False
-        self._attributes = 0
-        self._max_depth = 0
-        self._text_runs = 0
-        self._misc_events = 0
 
     @property
     def element_count(self) -> int:
         """Number of start tags processed so far."""
         return self._order
-
-    @property
-    def shape(self) -> StreamShape:
-        """What the driver saw of the stream, as the pure scan reports it."""
-        return (
-            self._order, self._attributes, self._max_depth,
-            self._text_runs, self._misc_events,
-        )
 
     def run(self, chunks) -> None:
         """Consume the whole document from an iterable of str/bytes chunks."""
@@ -461,7 +426,6 @@ class FusedExpatDriver:
 
     def _flush_pending(self) -> None:
         self._pending_text = False
-        self._text_runs += 1
         self._kernel.text_runs(self._text_runtimes, 1)
 
     def _start_element(self, name: str, attributes: List[str]) -> None:
@@ -469,16 +433,12 @@ class FusedExpatDriver:
             self._flush_pending()
         level = self._level + 1
         self._level = level
-        if level > self._max_depth:
-            self._max_depth = level
         context = self._context
         if context is not None:
             del context[level - 1 :]
             context.append(name)
         order = self._order
         self._order = order + 1
-        if attributes:
-            self._attributes += len(attributes) >> 1
         runtimes = self._dispatch(name)
         if runtimes:
             self._start(
@@ -512,7 +472,6 @@ class FusedExpatDriver:
     def _misc(self, *args) -> None:
         if self._pending_text:
             self._flush_pending()
-        self._misc_events += 1
 
 
 def _prime_noop(*args) -> None:

@@ -2,14 +2,14 @@
 
 The paper's TwigM is one set of transition functions (§3.2,
 :mod:`repro.core.transitions`) driven by parser events.  :class:`Kernel` is
-the only code that calls them: it dispatches each tag to the runtimes an
-index names, keeps their per-runtime counters, accumulates text, resolves
-family batches and delivers solutions.  The index is a
-:class:`~repro.core.queryindex.QueryIndex` or the single-query engine's
-one-entry index (``dispatch``, ``text_runtimes()``, ``runtimes`` and
-``context``, the live ancestor chain or ``None``).  The stream position
-lives on the kernel's ``owner``, the engine: ``_element_order`` (the next
-element's pre-order), ``_started`` and ``_finished``.
+the only code that calls them: it dispatches each tag to the runtimes a
+:class:`~repro.core.queryindex.QueryIndex` names, keeps their per-runtime
+counters and positions, accumulates text, resolves family batches and
+delivers solutions.  The stream position lives on the kernel's ``owner``,
+the :class:`~repro.core.multi.MultiQueryEvaluator`: ``_element_order`` (the
+next element's pre-order), ``_started`` and ``_finished``.  The ancestor
+chain is :attr:`Kernel.context`: the index's, or ``None`` while the owner
+runs a document no family runtime reads it for.
 
 Two kinds of source drive it, through two sets of entry points:
 
@@ -31,10 +31,10 @@ Two kinds of source drive it, through two sets of entry points:
 
 Solutions are delivered at once — callbacks fire, and pairs go to the
 list a caller hands :meth:`Kernel.run` or :meth:`Kernel.collect` — unless
-:attr:`Kernel.deliveries` is set: the pure scan buffers ``(runtime,
-solutions)`` there, resolving family batches while the chain is live,
-because a scan that bails out is replayed through the event pipeline and no
-callback may fire twice.
+:attr:`Kernel.deliveries` is set: while a subscription has a callback, the
+pure scan buffers ``(runtime, solutions)`` there, resolving family batches
+while the chain is live, because a scan that bails out is replayed through
+the event pipeline and no callback may fire twice.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class Kernel:
         #: instead of delivered (see :meth:`end`).
         self.deliveries: Optional[MutableSequence] = None
         #: Element pre-order -> serialized XML, for a fragment-capturing
-        #: single-query evaluator.
+        #: one-query front end (:class:`~repro.core.engine.TwigMEvaluator`).
         self.fragments: Optional[Dict[int, str]] = None
 
     # ------------------------------------------------------- fused scans
@@ -136,9 +136,8 @@ class Kernel:
             statistics = runtime.statistics
             if statistics is not None:
                 statistics.events += 1
-            evaluator = runtime.evaluator
-            evaluator._started = True
-            evaluator._element_order = order + 1
+            runtime.started = True
+            runtime.element_order = order + 1
             process_start_element(
                 runtime.machine, name, level, attributes, line, order, statistics
             )
@@ -176,16 +175,15 @@ class Kernel:
         """A rare record, for every runtime: ``EndDocument`` checks that
         each machine's stacks are empty."""
         for runtime in self.index.runtimes:
-            evaluator = runtime.evaluator
-            if evaluator._finished:
+            if runtime.finished:
                 raise StreamStateError("evaluator already finished; call reset() first")
             statistics = runtime.statistics
             if statistics is not None:
                 statistics.events += 1
             if isinstance(event, StartDocument):
-                evaluator._started = True
+                runtime.started = True
             elif isinstance(event, EndDocument):
-                evaluator._finished = True
+                runtime.finished = True
                 if not runtime.machine.stacks_empty():
                     raise StreamStateError(
                         "machine stacks are not empty at end of document; "
@@ -222,9 +220,8 @@ class Kernel:
                         statistics = runtime.statistics
                         if statistics is not None:
                             statistics.events += 1
-                        evaluator = runtime.evaluator
-                        evaluator._started = True
-                        evaluator._element_order = order + 1
+                        runtime.started = True
+                        runtime.element_order = order + 1
                         process_start_element(
                             runtime.machine, name, level, attributes, line, order,
                             statistics,
@@ -280,28 +277,12 @@ class Kernel:
         for runtime, solutions in deliveries:
             runtime.deliver(solutions)
 
-    def finish(self, elements: int, shape=None) -> None:
-        """Close a fused scan's document of ``elements`` start tags.
-
-        ``shape`` (the scan's :data:`~repro.core.fastpath.StreamShape`) is
-        recorded as the statistics of a single-query engine, which counts
-        the whole stream the way the event pipeline does.
-        """
+    def finish(self, elements: int) -> None:
+        """Close a fused scan's document of ``elements`` start tags."""
         for runtime in self.index.runtimes:
-            evaluator = runtime.evaluator
-            evaluator._element_order = elements
-            evaluator._started = True
-            evaluator._finished = True
-            statistics = runtime.statistics
-            if shape is not None and statistics is not None:
-                _, attributes, max_depth, text_runs, misc_events = shape
-                statistics.elements = elements
-                statistics.attributes = attributes
-                statistics.max_depth = max_depth
-                statistics.text_chunks = text_runs
-                # StartDocument + EndDocument + one start and one end per
-                # element + text runs + comments/PIs.
-                statistics.events = 2 + 2 * elements + text_runs + misc_events
+            runtime.element_order = elements
+            runtime.started = True
+            runtime.finished = True
         owner = self.owner
         owner._element_order = elements
         owner._started = True

@@ -67,7 +67,7 @@ class MachineNode:
     #: main-path node with this property, candidates that are satisfied at its
     #: pop are already full query solutions and may be emitted eagerly instead
     #: of being bookkept all the way up to the machine root (an optional
-    #: optimisation; see ``TwigMEvaluator(eager_emission=True)``).
+    #: optimisation; see ``repro.evaluate(..., eager_emission=True)``).
     ancestors_unconditional: bool = False
 
     # ------------------------------------------------------------ helpers

@@ -34,9 +34,12 @@ dozen subscriptions, should not even *dispatch* every event to every query.
 
 Every source drives one :class:`~repro.core.kernel.Kernel` over the index,
 which advances the engine's stream position: :meth:`push` (and the push
-sessions, and event frames) hand it event records, while ``evaluate()`` on a document
-runs the fused sources of :mod:`repro.core.fastpath` — the bulk scanner
-(pure) or expat callbacks — with no event objects at all.
+sessions, and event frames) hand it event records, while ``evaluate()`` on a
+document runs the fused sources of :mod:`repro.core.fastpath` — the bulk
+scanner (pure) or expat callbacks — with no event objects at all.  The
+one-query front ends of :mod:`repro.core.engine` (``repro.evaluate``,
+``stream_evaluate``, ``TwigMEvaluator``) are this engine with one
+subscription on a machine of its own.
 
 Delivery contract
 -----------------
@@ -84,10 +87,12 @@ Statistics semantics
 
 Per-subscription statistics describe only the work *dispatched to that
 machine*: element/attribute counters cover the label classes the machine is
-interested in, and text counters cover text-collecting machines only.
-Solution counters (``solutions_distinct`` etc.) are exact.  Event-level
-totals can differ between the fused and event-pipeline drivers; the
-``(name, solution)`` output streams never do.
+interested in, and text counters cover text-collecting machines only.  The
+work counters (pushes, pops, flags, candidates, solutions, peaks) are the
+same from every source; ``events`` counts the records a machine was
+dispatched, which the fused sources do not count, so it differs between
+them and the event pipeline.  The ``(name, solution)`` output streams
+never differ.
 """
 
 from __future__ import annotations
@@ -113,10 +118,9 @@ if TYPE_CHECKING:  # deferred at runtime: session.py imports this module
 from ..errors import EngineError
 from ..xmlstream.events import Event, as_event_iterable
 from ..xmlstream.reader import DEFAULT_CHUNK_SIZE, StreamReader, TextSource
-from ..xmlstream.sax import event_batches, iter_events
+from ..xmlstream.sax import event_batches
 from ..xpath.ast import QueryTree
 from .builder import shared_compiled_cache, shared_planner
-from .engine import TwigMEvaluator
 from .fastpath import FusedExpatDriver, fused_pure_multi_evaluate
 from .kernel import Kernel
 from .queryindex import (
@@ -127,6 +131,7 @@ from .queryindex import (
     trie_path,
 )
 from .results import Match, ResultSet, Solution
+from .statistics import EngineStatistics
 
 #: What the engine accepts wherever a query is expected: a source string, a
 #: normalized twig, or (structurally — core never imports the facade) a
@@ -159,7 +164,7 @@ class Subscription:
     #: The query text exactly as registered (shared machines may serve
     #: differently-spelled but structurally identical queries).
     source: str
-    #: The shared runtime (machine + evaluator) serving this subscription.
+    #: The shared runtime (machine + run state) serving this subscription.
     runtime: QueryRuntime = field(repr=False)
     #: The residual group serving this subscription when it rides a
     #: containment-shared family machine; ``None`` on fingerprint/private
@@ -183,9 +188,10 @@ class Subscription:
         return self.source
 
     @property
-    def evaluator(self) -> TwigMEvaluator:
-        """The (possibly shared) evaluator serving this subscription."""
-        return self.runtime.evaluator
+    def evaluator(self) -> QueryRuntime:
+        """The (possibly shared) runtime serving this subscription (the
+        1.x name)."""
+        return self.runtime
 
     def pause(self) -> None:
         """Stop push-style delivery for this subscription."""
@@ -241,7 +247,7 @@ class MultiQueryEvaluator:
         #: Global element pre-order counter.  Machines under label dispatch
         #: see only a subset of start tags, so the engine owns the document
         #: pre-order (the canonical solution identity) and its kernel
-        #: injects it into each dispatched evaluator per tag.
+        #: injects it into each dispatched runtime per tag.
         self._element_order = 0
         self._finished = False
         self._started = False
@@ -287,11 +293,6 @@ class MultiQueryEvaluator:
         :meth:`results`.  Registration is allowed mid-stream (see the module
         docstring for the semantics) but not after the stream has finished.
         """
-        if self._finished:
-            raise EngineError("cannot register queries after the stream was processed")
-        name = self._claim_name(name)
-        source = query if isinstance(query, str) else query.source
-        compiled = shared_compiled_cache.acquire(query)
         # Machine sharing is only sound between subscriptions that joined at
         # the same stream position: a mid-stream registration attaching to a
         # warm shared machine would inherit its full history, contradicting
@@ -300,13 +301,27 @@ class MultiQueryEvaluator:
         # shared through the cache).  The same joined-at-start requirement
         # gates containment sharing: a family anchor machine is warm by
         # definition once the stream has started.
-        share = not self._started
+        return self._subscribe(query, callback, name, share=not self._started)
+
+    def _subscribe(self, query, callback=None, name=None, share=False) -> Subscription:
+        """:meth:`subscribe`; ``share=False`` gives the query a private
+        machine, as the one-query front ends of :mod:`repro.core.engine`
+        want (a lone query riding a family costs up to 2× the CPU)."""
+        if self._finished:
+            raise EngineError("cannot register queries after the stream was processed")
+        name = self._claim_name(name)
+        source = query if isinstance(query, str) else query.source
+        compiled = shared_compiled_cache.acquire(query)
         plan = shared_planner.plan(compiled) if share else None
         if plan is not None:
             return self._subscribe_family(plan, compiled, source, name, callback)
         runtime = self._by_fingerprint.get(compiled.fingerprint) if share else None
         if runtime is None:
-            runtime = self._new_runtime(compiled)
+            try:
+                runtime = QueryRuntime(compiled, self._collect_statistics)
+            except Exception:
+                shared_compiled_cache.release(compiled)
+                raise
             if share:
                 self._by_fingerprint[compiled.fingerprint] = runtime
             self._index.add(runtime)
@@ -328,18 +343,6 @@ class MultiQueryEvaluator:
             raise EngineError(f"a subscription named {name!r} already exists")
         return name
 
-    def _new_runtime(self, compiled) -> QueryRuntime:
-        """A runtime with a machine of its own (``compiled`` is released
-        when building it fails)."""
-        try:
-            evaluator = TwigMEvaluator(
-                compiled.tree, collect_statistics=self._collect_statistics
-            )
-        except Exception:
-            shared_compiled_cache.release(compiled)
-            raise
-        return QueryRuntime(compiled, evaluator)
-
     def _subscribe_family(
         self,
         plan,
@@ -359,11 +362,9 @@ class MultiQueryEvaluator:
         if family is None:
             anchor = shared_compiled_cache.acquire(plan.anchor_source)
             try:
-                evaluator = TwigMEvaluator(
-                    anchor.tree, collect_statistics=self._collect_statistics
-                )
                 family = FamilyRuntime(
-                    anchor, evaluator, plan.anchor_label, self._index.context
+                    anchor, plan.anchor_label, self._index.context,
+                    self._collect_statistics,
                 )
             except Exception:
                 shared_compiled_cache.release(anchor)
@@ -706,13 +707,23 @@ class MultiQueryEvaluator:
         parser: str = "native",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> Iterator[Match]:
-        """Yield :class:`~repro.core.results.Match` pairs incrementally."""
+        """Yield :class:`~repro.core.results.Match` pairs incrementally.
+
+        An event iterable runs event by event; a document runs one parsed
+        chunk's event batch at a time through the kernel.
+        """
+        if not self._subscriptions:
+            raise EngineError("no queries registered")
+        run = self._kernel.run
         events = as_event_iterable(source)
-        if events is None:
-            events = iter_events(source, parser=parser, chunk_size=chunk_size)
-        for event in events:
-            for pair in self.feed(event):
-                yield pair
+        batches = (
+            event_batches(source, parser=parser, chunk_size=chunk_size)
+            if events is None else ((event,) for event in events)
+        )
+        for batch in batches:
+            pairs = run(batch, [])
+            if pairs:
+                yield from pairs
         self._finished = True
 
     def evaluate(
@@ -728,51 +739,66 @@ class MultiQueryEvaluator:
         driving the dispatch index with no event objects.  Event iterables
         and mid-stream continuations run through the event pipeline.
         """
-        events = as_event_iterable(source)
-        if events is not None:
-            for _ in self.stream(events, parser=parser, chunk_size=chunk_size):
-                pass
-            return self.results()
         if not self._subscriptions:
             raise EngineError("no queries registered")
         kernel = self._kernel
-        if not self._started and not self._finished:
-            for runtime in self._index.runtimes:
-                runtime.sync()
-            if (
-                parser in ("native", "pure")
-                and isinstance(source, str)
-                and not StreamReader._looks_like_path(source)
-            ):
-                deliveries: List[Tuple[QueryRuntime, List[Solution]]] = []
-                shape = fused_pure_multi_evaluate(kernel, source, deliveries)
-                if shape is not None:
-                    kernel.deliver(deliveries)
-                    kernel.finish(shape[0])
-                    return self.results()
-                # Construct the fast scan could not handle (or a syntax
-                # error): reset the partial state and replay through the
-                # event pipeline.  Deliveries were buffered, so no callback
-                # fires twice.
-                kernel.reset()
-            elif parser == "expat":
-                driver = FusedExpatDriver(kernel)
-                reader = StreamReader(source, chunk_size=chunk_size)
-                try:
-                    driver.run(reader.raw_chunks())
-                except Exception:
-                    # Leave the machines clean so a later evaluate() cannot
-                    # mix this failed run's partial state (or collected
-                    # solutions) into its answers.  Callbacks that already
-                    # fired stay fired — delivery is incremental by design.
-                    kernel.reset()
-                    raise
-                kernel.finish(driver.element_count)
-                return self.results()
-        for batch in event_batches(source, parser=parser, chunk_size=chunk_size):
-            kernel.run(batch, None)
+        fresh = not self._started and not self._finished
+        if fresh and not self._families:
+            kernel.context = None  # nothing reads a chain of this document
+        try:
+            events = as_event_iterable(source)
+            if events is not None:
+                kernel.run(events, None)
+            elif not fresh or not self._fused(source, parser, chunk_size):
+                for batch in event_batches(source, parser=parser, chunk_size=chunk_size):
+                    kernel.run(batch, None)
+        finally:
+            kernel.context = self._index.context
         self._finished = True
         return self.results()
+
+    def _fused(self, source: TextSource, parser: str, chunk_size: int) -> bool:
+        """Run a fresh document through a fused source; False when none
+        applies, or the pure scan bailed and left the engine reset."""
+        kernel = self._kernel
+        if (
+            parser in ("native", "pure")
+            and isinstance(source, str)
+            and not StreamReader._looks_like_path(source)
+        ):
+            # A bailed scan is replayed through the event pipeline.  No
+            # callback may fire twice, so with callbacks the deliveries wait
+            # for the scan to succeed; without, they go out at once (no
+            # batch per emission stays alive) and only the counters roll back.
+            subscriptions = list(self._subscriptions.values())
+            delivered = [subscription.delivered for subscription in subscriptions]
+            callbacks = any(subscription.callback for subscription in subscriptions)
+            deliveries: Optional[List] = [] if callbacks else None
+            elements = fused_pure_multi_evaluate(kernel, source, deliveries)
+            if elements is None:
+                kernel.reset()
+                for subscription, count in zip(subscriptions, delivered):
+                    subscription.delivered = count
+                return False
+            if deliveries:
+                kernel.deliver(deliveries)
+            kernel.finish(elements)
+            return True
+        if parser != "expat":
+            return False
+        driver = FusedExpatDriver(kernel)
+        reader = StreamReader(source, chunk_size=chunk_size)
+        try:
+            driver.run(reader.raw_chunks())
+        except Exception:
+            # Leave the machines clean so a later evaluate() cannot mix this
+            # failed run's partial state (or collected solutions) into its
+            # answers.  Callbacks that already fired stay fired — delivery
+            # is incremental by design.
+            kernel.reset()
+            raise
+        kernel.finish(driver.element_count)
+        return True
 
     def results(self) -> Dict[str, ResultSet]:
         """Result sets accumulated so far, keyed by subscription name."""
@@ -788,18 +814,17 @@ class MultiQueryEvaluator:
                     query=subscription.source,
                     solutions=group.collector.in_document_order(),
                 )
-                continue
-            base = subscription.runtime.evaluator.finish()
-            if base.query != subscription.source:
-                base = ResultSet(query=subscription.source, solutions=list(base.solutions))
-            results[name] = base
+            else:
+                results[name] = subscription.runtime.finish(subscription.source)
         return results
 
     def statistics(self) -> Dict[str, Dict[str, int]]:
         """Engine counters per subscription (see the module docstring for
-        what the counters mean under label dispatch)."""
+        what the counters mean under label dispatch; all zero when the
+        engine collects none)."""
+        zero = EngineStatistics()
         return {
-            name: subscription.runtime.evaluator.statistics.as_dict()
+            name: (subscription.runtime.statistics or zero).as_dict()
             for name, subscription in self._subscriptions.items()
         }
 
@@ -817,9 +842,11 @@ def evaluate_many(
     source: Union[TextSource, Iterable[Event]],
     parser: str = "native",
 ) -> Dict[str, ResultSet]:
-    """Evaluate several queries over one pass; keys are the query strings."""
+    """Evaluate several queries over one pass; keys are the query strings
+    (a query given twice is evaluated once)."""
     with MultiQueryEvaluator() as evaluator:
         for query in queries:
             tree_source = query if isinstance(query, str) else query.source
-            evaluator.subscribe(query, name=tree_source)
+            if tree_source not in evaluator._subscriptions:
+                evaluator.subscribe(query, name=tree_source)
         return evaluator.evaluate(source, parser=parser)

@@ -49,15 +49,15 @@ from collections import deque
 from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
+from ..errors import StreamStateError
 from ..xpath.ast import Axis, NodeKind, QueryTree
 from ..xpath.containment import ResidualStep, path_matches
 from .builder import CompiledQuery
 from .machine import TwigMachine
-from .results import MemberCollector, Match, ResultCollector, Solution
+from .results import MemberCollector, Match, ResultCollector, ResultSet, Solution
 from .statistics import EngineStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from .engine import TwigMEvaluator
     from .multi import Subscription
 
 #: One trie edge: ``(axis symbol, label)`` for element steps, ``("@", name)``
@@ -155,11 +155,14 @@ def _fan_out(owners, solutions: List[Solution], emitted) -> None:
 
 
 class _Runtime:
-    """What both runtime kinds share: one machine and its hot-loop refs.
+    """What both runtime kinds share: one machine and the state of its run.
 
-    The hot-loop attributes (``machine``, ``statistics``, ``collector``,
-    ``eager``) are cached copies of the evaluator's state and must be
-    refreshed via :meth:`sync` after :meth:`TwigMEvaluator.reset`.
+    A runtime owns its machine's ``statistics`` (``None`` when the engine
+    collects none), ``collector`` and ``eager`` flag, and its own stream
+    position, which the kernel keeps and snapshots carry: ``element_order``
+    (the pre-order after the last start tag it was dispatched, or the
+    document's element count once a fused scan closed it), ``started`` and
+    ``finished``.
     """
 
     #: Containment-shared family runtimes override this; drivers use it to
@@ -168,7 +171,6 @@ class _Runtime:
 
     __slots__ = (
         "compiled",
-        "evaluator",
         "labels",
         "wildcard",
         "needs_text",
@@ -176,40 +178,56 @@ class _Runtime:
         "statistics",
         "collector",
         "eager",
+        "element_order",
+        "started",
+        "finished",
         "seq",
         "trie",
     )
 
-    def __init__(self, compiled: CompiledQuery, evaluator: TwigMEvaluator) -> None:
+    def __init__(self, compiled: CompiledQuery, collect_statistics: bool) -> None:
         self.compiled = compiled
-        self.evaluator = evaluator
-        self.labels, self.wildcard = machine_label_profile(evaluator.machine)
-        self.needs_text = bool(evaluator.machine.text_nodes)
+        self.machine: TwigMachine = compiled.build()
+        self.labels, self.wildcard = machine_label_profile(self.machine)
+        self.needs_text = bool(self.machine.text_nodes)
+        self.eager = False
         #: Registration sequence number, assigned by :meth:`QueryIndex.add`.
         self.seq = -1
         #: Prefix-trie path of the machine's own query shape.
         self.trie: TriePath = trie_path(compiled.tree)
-        self.sync()
+        self.statistics: Optional[EngineStatistics] = (
+            EngineStatistics() if collect_statistics else None
+        )
+        self.reset()
 
     @property
     def fingerprint(self) -> str:
         """Canonical fingerprint of the runtime's (anchor) query shape."""
         return self.compiled.fingerprint
 
-    def sync(self) -> None:
-        """Refresh the cached hot-loop references from the evaluator."""
-        evaluator = self.evaluator
-        self.machine: TwigMachine = evaluator.machine
-        self.statistics: Optional[EngineStatistics] = (
-            evaluator.statistics if evaluator.collect_statistics else None
-        )
-        self.collector: ResultCollector = evaluator.collector
-        self.eager: bool = evaluator.eager_emission
+    @property
+    def evaluator(self) -> "_Runtime":
+        """The runtime itself, which holds what the 1.x per-runtime
+        evaluator did (``machine``, ``statistics``, ``collector``)."""
+        return self
 
     def reset(self) -> None:
-        """Reset the machine for a fresh stream and refresh cached refs."""
-        self.evaluator.reset()
-        self.sync()
+        """Reset the machine and the run state for a fresh stream."""
+        self.machine.reset()
+        if self.statistics is not None:
+            self.statistics = EngineStatistics()
+        self.collector = ResultCollector()
+        self.element_order = 0
+        self.started = False
+        self.finished = False
+
+    def finish(self, query: str) -> ResultSet:
+        """Close the stream for this machine; its answer, labelled ``query``."""
+        if not self.finished:
+            if not self.machine.stacks_empty():
+                raise StreamStateError("finish() called while elements are still open")
+            self.finished = True
+        return ResultSet.from_collector(query, self.collector)
 
 
 class QueryRuntime(_Runtime):
@@ -222,12 +240,12 @@ class QueryRuntime(_Runtime):
 
     __slots__ = ("subscribers", "_owners")
 
-    def __init__(self, compiled: CompiledQuery, evaluator: TwigMEvaluator) -> None:
+    def __init__(self, compiled: CompiledQuery, collect_statistics: bool) -> None:
         self.subscribers: List["Subscription"] = []
         # Built once: a tuple per delivery would be one more allocation per
         # match for the cycle collector to count.
         self._owners = (self,)
-        super().__init__(compiled, evaluator)
+        super().__init__(compiled, collect_statistics)
 
     def deliver(self, solutions: List[Solution], emitted=None) -> None:
         """Fan ``solutions`` out to every active subscriber (:func:`_fan_out`)."""
@@ -299,9 +317,9 @@ class FamilyRuntime(_Runtime):
     def __init__(
         self,
         compiled: CompiledQuery,
-        evaluator: TwigMEvaluator,
         anchor_label: str,
         context: List[str],
+        collect_statistics: bool,
     ) -> None:
         self.anchor_label = anchor_label
         self.groups: Dict[str, ResidualGroup] = {}
@@ -309,7 +327,7 @@ class FamilyRuntime(_Runtime):
         self._context = context
         self._pending: deque = deque()
         self._match_cache: Dict[Tuple[str, ...], List[ResidualGroup]] = {}
-        super().__init__(compiled, evaluator)
+        super().__init__(compiled, collect_statistics)
 
     @property
     def subscribers(self) -> List["Subscription"]:
@@ -340,20 +358,12 @@ class FamilyRuntime(_Runtime):
 
     # ------------------------------------------------------------ lifecycle
 
-    def sync(self) -> None:
-        """Refresh cached hot-loop references; drop stale pending batches.
-
-        Called on fresh engines before a fused scan and after every
-        evaluator reset — both points where an undelivered emission batch
-        (from a bailed scan) must not leak into the next run.
-        """
-        super().sync()
-        self._pending.clear()
-
     def reset(self) -> None:
-        """Reset the anchor machine and every member collector."""
+        """Reset the anchor machine and every member collector, and drop
+        the emission batches a bailed scan left undelivered."""
         for group in self.group_list:
             group.collector = MemberCollector()
+        self._pending.clear()
         super().reset()
 
     # ------------------------------------------------------------ emission
@@ -571,13 +581,13 @@ class QueryIndex:
             labels = "*" if runtime.wildcard else ",".join(sorted(runtime.labels))
             if runtime.is_family:
                 lines.append(
-                    f"  family {runtime.evaluator.query.source!r} "
+                    f"  family {runtime.compiled.tree.source!r} "
                     f"({len(runtime.group_list)} shape(s)) -> [{labels}] "
                     f"subscribers: {names or '-'}"
                 )
             else:
                 lines.append(
-                    f"  {runtime.evaluator.query.source!r} -> [{labels}] "
+                    f"  {runtime.compiled.tree.source!r} -> [{labels}] "
                     f"subscribers: {names or '-'}"
                 )
         return "\n".join(lines)

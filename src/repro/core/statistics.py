@@ -16,9 +16,10 @@ from typing import Dict
 
 @dataclass(slots=True)
 class EngineStatistics:
-    """Counters collected by :class:`~repro.core.engine.TwigMEvaluator`."""
+    """The counters of the work the kernel dispatched to one machine (a
+    subscription runtime's); the stream counters see dispatched tags only."""
 
-    #: Number of events consumed (all kinds).
+    #: Number of event records dispatched (fused sources count none).
     events: int = 0
     #: Number of start-element events consumed.
     elements: int = 0

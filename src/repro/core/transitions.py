@@ -24,7 +24,7 @@ shape the signatures:
   tag.
 * ``statistics`` may be ``None``: transition dispatch runs millions of times
   per document, so the counters the benchmarks rely on are optional behind a
-  cheap no-op mode (``TwigMEvaluator(collect_statistics=False)``); when a
+  cheap no-op mode (``Engine(collect_statistics=False)``); when a
   statistics object is supplied the counters are maintained exactly as
   before.
 """

@@ -196,7 +196,9 @@ class TestStatisticsTracking:
         evaluator = TwigMEvaluator("//book[author]/title")
         evaluator.evaluate(simple_doc)
         stats = evaluator.statistics
-        assert stats.elements == 12
+        # The tags the machine is dispatched: two books, three authors and
+        # three titles (library, price and journal are never dispatched).
+        assert stats.elements == 8
         assert stats.pushes == stats.pops
         assert stats.pushes > 0
         assert stats.max_depth == 3

@@ -4,9 +4,9 @@ The TwigM transition functions (``core/transitions.py``) are driven, through
 the one kernel (``core/kernel.py``), from seven sources — an event list, the
 pure one-shot scan, a pure push session fed at random chunk boundaries, a
 pure file read through the event pipeline, expat one-shot, expat fed in byte
-chunks, and binary event frames — and consumed by three subscription shapes:
-the single-query facade ``repro.evaluate``, an :class:`~repro.Engine` with
-one subscription, and one engine holding every query (containment families
+chunks, and binary event frames — and consumed by two subscription shapes:
+one query (``repro.evaluate``, an engine with one subscription on a machine
+of its own) and one engine holding every query (containment families
 included).  Each combination, with statistics collection on and off, must
 give the per-query result sets of :func:`~repro.baselines.evaluate_with_dom`
 — ``NodeRef.line`` included — on generated queries over generated documents
@@ -15,7 +15,7 @@ span lines.  The many-query engine also pins the delivery contract: each
 subscription's pushed sequence is the same from all seven sources and holds
 every ``results()`` solution exactly once.  Statistics are pinned too: per
 subscription, equal within the event-record sources and within the fused
-ones; for the single-query facade, equal across every source.
+ones, and the work counters equal across every source, on both shapes.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import pytest
 import repro
 from repro import Engine, EngineConfig
 from repro.baselines import evaluate_with_dom
-from repro.core import engine as engine_module
-from repro.core.engine import TwigMEvaluator
+from repro.core import multi as multi_module
 from repro.core.results import Solution
 from repro.datasets.randomtree import RandomTreeConfig, RandomTreeGenerator
 from repro.xmlstream.eventcodec import EventFrameDecoder, EventFrameEncoder
@@ -109,8 +108,8 @@ def _frames(document: str, seed: int):
 
 # ----------------------------------------------------------------- sources
 #
-# Each source feeds one document two ways: to the single-query facade (a
-# ``repro.evaluate`` call) and to an Engine (filling ``engine.results()``).
+# Each source feeds one document two ways: to one query (a ``repro.evaluate``
+# call) and to an Engine (filling ``engine.results()``).
 
 
 def _facade(query, source, stats, **options):
@@ -168,7 +167,7 @@ ENGINE = {
 }
 
 SOURCES = sorted(FACADE)
-SHAPES = ["facade", "one-subscription", "many"]
+SHAPES = ["one-query", "many"]
 
 
 @pytest.fixture(scope="module")
@@ -203,19 +202,11 @@ def reference_pushes():
 
 def _answers(source, shape, stats, index, document):
     """Per-query solution lists for one document from one source × shape."""
-    if shape == "facade":
+    if shape == "one-query":
         return {
             query: FACADE[source](query, document, index, stats).solutions
             for query in QUERIES
         }
-    if shape == "one-subscription":
-        answers = {}
-        for query in QUERIES:
-            with Engine(EngineConfig(collect_statistics=stats)) as engine:
-                engine.subscribe(query, name="q")
-                ENGINE[source](engine, document, index)
-                answers[query] = engine.results()["q"].solutions
-        return answers
     return _many(source, stats, index, document)[0]
 
 
@@ -272,39 +263,82 @@ def test_subscription_statistics_agree_within_a_source_class(sources):
             )
 
 
+#: The counters of the work dispatched to a machine, which no source may
+#: change (``events`` counts records, which the fused sources do not).
+WORK_COUNTERS = (
+    "pushes", "pops", "flags_set", "candidates_created", "candidates_propagated",
+    "solutions_emitted", "solutions_distinct", "peak_stack_entries",
+    "peak_candidate_count",
+)
+
+
+def _work(statistics):
+    return {counter: statistics[counter] for counter in WORK_COUNTERS}
+
+
+def _one_query_work(source, query, index, document):
+    """Work counters of ``repro.evaluate``'s one subscription, from one
+    source."""
+    captured = []
+    evaluate = multi_module.MultiQueryEvaluator.evaluate
+
+    def spy(engine, *args, **options):
+        results = evaluate(engine, *args, **options)
+        captured.extend(engine.statistics().values())
+        return results
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multi_module.MultiQueryEvaluator, "evaluate", spy)
+        FACADE[source](query, document, index, True)
+    (statistics,) = captured
+    return _work(statistics)
+
+
 @pytest.mark.parametrize("query", QUERIES)
-def test_single_query_statistics_agree_across_backends(query):
+def test_one_query_work_counters_agree_across_every_source(query):
     for index, document in enumerate(DOCUMENTS):
-        staged = TwigMEvaluator(query)
-        staged.evaluate(list(tokenize(document)))
-        expected = staged.statistics.as_dict()
-        for parser in ("pure", "expat"):
-            evaluator = TwigMEvaluator(query)
-            evaluator.evaluate(document, parser=parser)
-            assert evaluator.statistics.as_dict() == expected, parser
-        chunked = TwigMEvaluator(query)
-        chunked.evaluate(iter(_cuts(document, index)), parser="pure")
-        assert chunked.statistics.as_dict() == expected, "pure chunks"
-        fed = TwigMEvaluator(query)
-        for event in tokenize(document):
-            fed.feed(event)
-        fed.finish()
-        assert fed.statistics.as_dict() == expected, "feed"
+        expected = _one_query_work("events", query, index, document)
+        for source in SOURCES:
+            assert _one_query_work(source, query, index, document) == expected, (
+                f"{source} on document {index}"
+            )
 
 
-def test_the_one_entry_scan_keeps_no_delivery_batches(monkeypatch):
-    """The single-query scan's collector holds every solution; nothing else
-    may (a buffered batch per emission cost peak RSS on match-dense runs)."""
+@pytest.mark.parametrize("source", SOURCES)
+def test_many_query_work_counters_agree_across_every_source(source):
+    for index, document in enumerate(DOCUMENTS):
+        expected = _statistics("events", index, document)
+        assert {
+            name: _work(statistics)
+            for name, statistics in _statistics(source, index, document).items()
+        } == {name: _work(statistics) for name, statistics in expected.items()}, (
+            f"{source} on document {index}"
+        )
+
+
+def test_a_one_query_pure_scan_keeps_no_delivery_batches(monkeypatch):
+    """``repro.evaluate``'s pure scan delivers at once, so no batch per
+    emission stays alive (buffering one cost peak RSS on match-dense runs),
+    and a scan that bails and replays leaves ``delivered`` exact."""
     sinks = []
-    scan = engine_module.fused_pure_multi_evaluate
+    subscriptions = []
+    scan = multi_module.fused_pure_multi_evaluate
 
-    def spy(index, document, deliveries):
+    def spy(kernel, document, deliveries):
         sinks.append(deliveries)
-        return scan(index, document, deliveries)
+        subscriptions.extend(kernel.owner.subscriptions)
+        return scan(kernel, document, deliveries)
 
-    monkeypatch.setattr(engine_module, "fused_pure_multi_evaluate", spy)
+    monkeypatch.setattr(multi_module, "fused_pure_multi_evaluate", spy)
     document = "<r>" + "<e><e/><e>t</e></e>" * 2000 + "</r>"
-    result = TwigMEvaluator("//e").evaluate(document, parser="pure")
-    assert len(result) == 6000
-    assert len(sinks) == 1
-    assert len(sinks[0]) == 0
+    assert len(repro.evaluate("//e", document, parser="pure")) == 6000
+    assert sinks == [None]
+    assert subscriptions[0].delivered == 6000
+
+    def bail(kernel, document, deliveries):
+        spy(kernel, document, deliveries)  # the whole scan, delivering
+        return None  # then bail: the event pipeline replays the document
+
+    monkeypatch.setattr(multi_module, "fused_pure_multi_evaluate", bail)
+    assert len(repro.evaluate("//e", document, parser="pure")) == 6000
+    assert subscriptions[1].delivered == 6000

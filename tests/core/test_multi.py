@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.baselines import evaluate_with_dom
 from repro.core.engine import TwigMEvaluator, evaluate
 from repro.core.multi import MultiQueryEvaluator, evaluate_many
 from repro.core.results import Solution
@@ -75,6 +76,15 @@ class TestSharedPassCorrectness:
         combined = evaluate_many(QUERIES, simple_doc)
         for query in QUERIES:
             assert combined[query].keys() == evaluate(query, simple_doc).keys()
+
+    @pytest.mark.parametrize("parser", ["pure", "expat"])
+    def test_a_query_given_twice_is_answered_once(self, simple_doc, parser):
+        queries = ["//book[author]/title", "//book/@id", "//book[author]/title"]
+        combined = evaluate_many(queries, simple_doc, parser=parser)
+        assert sorted(combined) == ["//book/@id", "//book[author]/title"]
+        for query in queries:
+            oracle = evaluate_with_dom(query, simple_doc)
+            assert combined[query].solutions == oracle.solutions
 
     def test_results_by_subscription_name(self, simple_doc):
         evaluator = MultiQueryEvaluator()

@@ -106,6 +106,29 @@ class TestSingleKernel:
         assert "multi.py:1: import from transitions" in result.stderr
         assert "kernel.py:1" not in result.stderr
 
+    def test_a_second_engine_is_reported(self, tmp_path):
+        # core/engine.py as it stood in 1.5.0, when it built its own kernels
+        # over a one-entry index and picked its own fused sources.
+        core = tmp_path / "core"
+        core.mkdir()
+        second = os.path.join(os.path.dirname(__file__), "fixtures", "second_engine.py.txt")
+        with open(second, encoding="utf-8") as handle:
+            (core / "engine.py").write_text(handle.read())
+        (core / "multi.py").write_text(
+            "from .fastpath import FusedExpatDriver\n"
+            "kernel = Kernel(index, owner)\n"
+            "driver = FusedExpatDriver(kernel)\n"
+        )
+        result = run_tool("check_single_kernel.py", str(tmp_path))
+        assert result.returncode == 1
+        reported = [line.strip() for line in result.stderr.splitlines()[1:]]
+        assert reported == [
+            "core/engine.py:185: Kernel(",
+            "core/engine.py:194: fused_pure_multi_evaluate(",
+            "core/engine.py:203: FusedExpatDriver(",
+            "core/engine.py:222: Kernel(",
+        ]
+
     def test_a_hand_copied_text_accumulator_is_reported(self, tmp_path):
         core = tmp_path / "core"
         core.mkdir()

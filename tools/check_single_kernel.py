@@ -20,7 +20,11 @@ keeps its own).  It also keeps one kernel and one driver per input format:
 * only ``core/kernel.py`` imports from ``core/transitions.py``, plus
   ``core/__init__.py``, which re-exports the functions;
 * no module under ``core/`` imports an underscore name from
-  ``xmlstream/`` (a second frame or tag decoder would need one).
+  ``xmlstream/`` (a second frame or tag decoder would need one);
+* only ``core/multi.py`` and ``core/session.py`` construct a ``Kernel`` or
+  call ``fused_pure_multi_evaluate`` / ``FusedExpatDriver`` (one engine, and
+  ``MultiQueryEvaluator.evaluate()`` the one place that picks a fused
+  source).
 
 Usage::
 
@@ -45,6 +49,8 @@ INTERNALS = frozenset(
 ACCUMULATORS = frozenset({"string_parts", "direct_parts"})
 KERNEL = frozenset({os.path.join("core", "transitions.py"), os.path.join("core", "stack.py")})
 IMPORTERS = frozenset(os.path.join("core", name) for name in ("__init__.py", "kernel.py"))
+ENGINE_PARTS = frozenset({"Kernel", "fused_pure_multi_evaluate", "FusedExpatDriver"})
+ENGINES = frozenset(os.path.join("core", name) for name in ("multi.py", "session.py"))
 
 
 def _references(tree: ast.AST, names: frozenset) -> Iterator[Tuple[int, str]]:
@@ -57,6 +63,16 @@ def _references(tree: ast.AST, names: frozenset) -> Iterator[Tuple[int, str]]:
             for alias in node.names:
                 if alias.name.rpartition(".")[2] in names:
                     yield node.lineno, alias.name
+
+
+def _engine_calls(tree: ast.AST) -> Iterator[Tuple[int, str]]:
+    """Calls that build a kernel or run a fused source."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            function = node.func
+            name = getattr(function, "id", None) or getattr(function, "attr", None)
+            if name in ENGINE_PARTS:
+                yield node.lineno, f"{name}("
 
 
 def _driver_imports(
@@ -95,6 +111,8 @@ def violations(package: str) -> List[str]:
             names = INTERNALS | ACCUMULATORS if in_core else INTERNALS
             references = list(_references(tree, names))
             references.extend(_driver_imports(tree, in_core, relative in IMPORTERS))
+            if relative not in ENGINES:
+                references.extend(_engine_calls(tree))
             for line, name in sorted(references):
                 found.append(f"{relative}:{line}: {name}")
     return found
@@ -108,8 +126,10 @@ def main(argv: List[str] | None = None) -> int:
     if found:
         print(
             "FAIL: transition internals referenced outside core/transitions.py "
-            "and core/stack.py (hand the tags to core/kernel.py instead), or "
-            "the transition functions imported outside core/kernel.py:",
+            "and core/stack.py (hand the tags to core/kernel.py instead), "
+            "the transition functions imported outside core/kernel.py, or a "
+            "kernel or fused source driven outside core/multi.py and "
+            "core/session.py:",
             file=sys.stderr,
         )
         for entry in found:
