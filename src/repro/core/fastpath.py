@@ -1,15 +1,16 @@
 """Fused streaming sources: scan or expat callbacks straight into the kernel.
 
-The event pipeline materialises one event object per markup construct.
-That is the right shape for the push API, fragment capture and event
-frames, but for ``evaluate(document)`` it spends much of the per-element
-budget on allocating and unpacking event tuples.  The two fused sources
-here hand tags straight to a :class:`~repro.core.kernel.Kernel`, the one
-code that runs the transitions of :mod:`repro.core.transitions`; they keep
-only tokenising, well-formedness checks, line numbers and — in locals, so
-an undispatched tag costs no call — pre-order, depth and the ancestor
-chain.  :meth:`MultiQueryEvaluator.evaluate` is the one place that picks
-them (push sessions also drive the expat driver chunk by chunk).
+An event object per markup construct is the right shape for the event
+push API, fragment capture, document streams and event frames; a document
+source needs none.  The incremental pure tokenizer hands its records to
+the kernel one call per construct (its sink); the two fused sources here go
+further and hand a :class:`~repro.core.kernel.Kernel`, the one code that
+runs the transitions of :mod:`repro.core.transitions`, the dispatched tags
+only: they keep tokenising, well-formedness checks, line numbers and — in
+locals, so an undispatched tag costs no call — pre-order, depth and the
+ancestor chain.  :meth:`MultiQueryEvaluator.evaluate` is the one place that
+picks the pure scan; the expat driver serves every expat document source
+(``evaluate()``, ``stream()`` and push sessions, chunk by chunk).
 
 * :func:`fused_pure_multi_evaluate` — the one pure scan, behind
   ``evaluate()`` on in-memory ``str`` documents, where chunking
@@ -22,11 +23,11 @@ them (push sessions also drive the expat driver chunk by chunk).
   well-formedness check is skipped.  Line numbers are computed only when a
   start tag is dispatched.  Returns ``None`` whenever the document needs
   the general pipeline — unsupported constructs or any syntax error — and
-  the caller replays through the event pipeline, which reproduces the exact
-  error message of the incremental tokenizer.
-* :class:`FusedExpatDriver` — the expat callbacks, one-shot or push
-  (session) mode.  Works for any (possibly streaming) source and keeps
-  expat's constant-memory behaviour.
+  the caller replays through the incremental tokenizer, which reproduces
+  its exact error message.
+* :class:`FusedExpatDriver` — the expat callbacks, fed chunk by chunk.
+  Works for any (possibly streaming) source and keeps expat's
+  constant-memory behaviour.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ def _scan_misc(doc: str, lt: int) -> Optional[Tuple[int, bool, Optional[str]]]:
     """Recognise the uncommon construct at ``doc[lt] == '<'``.
 
     Returns ``(end, is_event, cdata)``: the index just past a comment or
-    processing instruction (``is_event`` — the event pipeline flushes pending
-    text and emits one event for it), a CDATA section (``cdata`` is its raw
+    processing instruction (``is_event`` — the tokenizer flushes pending
+    text and emits one record for it), a CDATA section (``cdata`` is its raw
     content), or an XML declaration / DOCTYPE (neither).  ``None`` means
-    unterminated or unsupported: replay through the event pipeline.
+    unterminated or unsupported: replay through the incremental tokenizer.
     """
     if doc.startswith("<!--", lt):
         end = doc.find("-->", lt + 4)
@@ -87,18 +88,18 @@ def fused_pure_multi_evaluate(
     index.  ``deliveries``, when given, receives ``(runtime, solutions)``
     pairs in emission order (:meth:`Kernel.deliver` hands them out): when
     the scan bails out (returns ``None``) the caller resets the machines and
-    replays through the event pipeline, and buffering guarantees no
+    replays through the incremental tokenizer, and buffering guarantees no
     subscriber callback fires twice.  A caller with no callback to protect
     passes ``None`` and solutions are delivered at once.
 
     Returns the document's element count on success, or ``None`` when the
-    document needs the general pipeline.
+    document needs the incremental tokenizer.
     """
     kernel.deliveries = deliveries
     try:
         return _fused_pure_multi_scan(kernel, normalise_line_ends(document))
     except XMLSyntaxError:
-        # Entity/attribute errors raised mid-scan: let the event pipeline
+        # Entity/attribute errors raised mid-scan: let the tokenizer
         # re-derive the canonical error message and line number.
         return None
     finally:
@@ -144,8 +145,8 @@ def _fused_pure_multi_scan(kernel, doc: str) -> Optional[int]:
     line = 1
     line_pos = 0
     root_closed = False
-    # ``text_runs`` emulates the event pipeline's text coalescing: one
-    # Characters event per run of text flushed by a structural event,
+    # ``text_runs`` emulates the tokenizer's text coalescing: one
+    # character-data record per run of text flushed by a structural event,
     # comment or processing instruction.
     pending_text = False
     text_runs = 0
@@ -246,7 +247,7 @@ def _fused_pure_multi_scan(kernel, doc: str) -> Optional[int]:
         # -------- uncommon constructs: comments, CDATA, PI, DOCTYPE --------
         misc = _scan_misc(doc, lt)
         if misc is None:
-            return None  # anything else: replay through the event pipeline
+            return None  # anything else: replay through the tokenizer
         index_pos, is_event, cdata = misc
         if is_event:
             if pending_text:
@@ -284,16 +285,13 @@ class FusedExpatDriver:
     subscribers, and appended to the kernel's ``emitted`` list when it has
     one) immediately as they are found — expat either completes or raises,
     there is no replay, so immediate delivery matches the incremental
-    semantics of the event pipeline.
+    semantics of the tokenizer's sink.
 
-    Two driving modes share the callbacks:
-
-    * :meth:`run` — the one-shot pull loop used by ``evaluate()``; the
-      driver owns the chunk iterable.
-    * :meth:`feed` / :meth:`finish` — the push (session) mode: the *caller*
-      owns the read loop and hands chunks to ``Parse(chunk, 0)`` as they
-      arrive.  Subscriptions may be added between chunks, so the cached
-      text-runtime list is refreshed at each chunk boundary.
+    The caller owns the read loop (``evaluate()``, ``stream()`` and push
+    sessions alike) and hands chunks to :meth:`feed`, which passes them to
+    ``Parse(chunk, 0)``, then calls :meth:`finish`.  Subscriptions may be
+    added between chunks, so the cached text-runtime list is refreshed at
+    each chunk boundary.
     """
 
     def __init__(self, kernel) -> None:
@@ -318,34 +316,35 @@ class FusedExpatDriver:
         #: matching the primed parser position.
         self._context = kernel.context
         self._level = 0
-        self._order = 0
+        #: Pre-order of the next start tag, counted on from the engine's
+        #: stream position.
+        self._order = kernel.owner._element_order
         self._pending_text = False
         self._fed_bytes = False
 
     @property
     def element_count(self) -> int:
-        """Number of start tags processed so far."""
+        """The engine's start tags so far, this driver's included."""
         return self._order
 
-    def run(self, chunks) -> None:
-        """Consume the whole document from an iterable of str/bytes chunks."""
-        for chunk in chunks:
-            self.feed(chunk)
-        self.finish()
-
     def feed(self, chunk) -> None:
-        """Push one str/bytes chunk through ``Parse(chunk, 0)``."""
+        """Push one str/bytes chunk through ``Parse(chunk, 0)``; once a
+        start tag is read, registrations on the engine are mid-stream."""
         self._text_runtimes = self._kernel.index.text_runtimes()
         if isinstance(chunk, bytes):
             self._fed_bytes = True
         self._parse(chunk, False)
+        if self._order:
+            self._kernel.owner._started = True
 
     def finish(self) -> None:
-        """Signal end of input (``Parse(_, 1)``) and flush pending text."""
+        """Signal end of input (``Parse(_, 1)``), flush pending text and
+        close the kernel's document."""
         self._text_runtimes = self._kernel.index.text_runtimes()
         self._parse(b"" if self._fed_bytes else "", True)
         if self._pending_text:
             self._flush_pending()
+        self._kernel.finish(self._order)
 
     def _parse(self, data, final: bool) -> None:
         try:
@@ -385,7 +384,7 @@ class FusedExpatDriver:
         The handlers stay *registered* during the replay so expat's
         text-buffering behaviour matches the original run exactly.
         """
-        if self._order or self._level or self._fed_bytes:
+        if self._level or self._fed_bytes:
             raise XMLSyntaxError("prime() requires a freshly created driver")
         parser = self._parser
         noop = _prime_noop

@@ -13,16 +13,20 @@ runs a document no family runtime reads it for.
 
 Two kinds of source drive it, through two sets of entry points:
 
-* **Event records** — event-frame records (``start_record`` /
-  ``end_record`` / ``chars_record`` / ``other`` are the callbacks of
-  :meth:`~repro.xmlstream.eventcodec.EventFrameDecoder.walk`) and event
-  objects (:meth:`Kernel.run`, which runs the same bodies inline).  The kernel
-  advances the owner's position and the ancestor chain; every dispatched
-  runtime counts the record in its ``events`` statistic and records its
-  own position, and rare records (document boundaries, comments,
-  processing instructions) reach every runtime.
-* **Fused scans** — the pure scan and the expat driver of
-  :mod:`repro.core.fastpath`.  They keep pre-order, depth and the ancestor
+* **Event records** — ``start_record`` / ``end_record`` /
+  ``chars_record`` / ``other`` are the sink of the pure
+  :class:`~repro.xmlstream.tokenizer.StreamTokenizer` (push sessions,
+  ``stream()`` and ``evaluate()`` on any pure source but an in-memory
+  string), called as the scan reads each construct, and the callbacks of
+  :meth:`~repro.xmlstream.eventcodec.EventFrameDecoder.walk` for event
+  frames; event objects (``feed``, event iterables, document streams) go
+  through :meth:`Kernel.run`, which runs the same bodies inline.  The
+  kernel advances the owner's position and the ancestor chain; every
+  dispatched runtime counts the record in its ``events`` statistic and
+  records its own position, and rare records (document boundaries,
+  comments, processing instructions) reach every runtime.
+* **Fused scans** — the in-memory pure scan and the expat driver of
+  :mod:`repro.core.fastpath` (every expat source).  They keep pre-order, depth and the ancestor
   chain in locals (a call per tag would cost more than an undispatched
   tag's transitions), call :meth:`~Kernel.start` / :meth:`~Kernel.end` /
   :meth:`~Kernel.text` for dispatched tags only, count coalesced text runs
@@ -34,7 +38,7 @@ list a caller hands :meth:`Kernel.run` or :meth:`Kernel.collect` — unless
 :attr:`Kernel.deliveries` is set: while a subscription has a callback, the
 pure scan buffers ``(runtime, solutions)`` there, resolving family batches
 while the chain is live, because a scan that bails out is replayed through
-the event pipeline and no callback may fire twice.
+the incremental tokenizer and no callback may fire twice.
 """
 
 from __future__ import annotations
@@ -260,9 +264,9 @@ class Kernel:
             self.emitted = None
         return emitted
 
-    def collect(self, emitted: List, call, *args) -> List:
-        """``call(*args)`` — a fused driver's chunk or a frame walk — with
-        immediately delivered pairs going to ``emitted``."""
+    def collect(self, emitted: Optional[List], call, *args) -> Optional[List]:
+        """``call(*args)`` — a tokenizer's or fused driver's chunk, or a
+        frame walk — with immediately delivered pairs going to ``emitted``."""
         self.emitted = emitted
         try:
             call(*args)
@@ -293,8 +297,10 @@ class Kernel:
         ancestor chain and the position start over."""
         for runtime in self.index.runtimes:
             runtime.reset()
-        if self.context is not None:
-            del self.context[:]
+        # A stream() left unfinished may still hold the chain dropped; the
+        # next document starts with it, and its source drops it again.
+        self.context = self.index.context
+        del self.context[:]
         owner = self.owner
         owner._element_order = 0
         owner._started = False

@@ -33,10 +33,12 @@ dozen subscriptions, should not even *dispatch* every event to every query.
    Character data reaches only text-collecting machines.
 
 Every source drives one :class:`~repro.core.kernel.Kernel` over the index,
-which advances the engine's stream position: :meth:`push` (and the push
-sessions, and event frames) hand it event records, while ``evaluate()`` on a
-document runs the fused sources of :mod:`repro.core.fastpath` — the bulk
-scanner (pure) or expat callbacks — with no event objects at all.  The
+which advances the engine's stream position: :meth:`push` hands it event
+objects, event frames and the pure tokenizer (push sessions, :meth:`stream`
+and ``evaluate()`` on any pure source but an in-memory string) hand it
+records as they read them, and the fused sources of
+:mod:`repro.core.fastpath` — the bulk scanner on in-memory strings, expat
+callbacks on every expat source — hand it the dispatched tags.  The
 one-query front ends of :mod:`repro.core.engine` (``repro.evaluate``,
 ``stream_evaluate``, ``TwigMEvaluator``) are this engine with one
 subscription on a machine of its own.
@@ -91,8 +93,8 @@ interested in, and text counters cover text-collecting machines only.  The
 work counters (pushes, pops, flags, candidates, solutions, peaks) are the
 same from every source; ``events`` counts the records a machine was
 dispatched, which the fused sources do not count, so it differs between
-them and the event pipeline.  The ``(name, solution)`` output streams
-never differ.
+them and the record sources (pure tokenizer, event objects, frames).
+The ``(name, solution)`` output streams never differ.
 """
 
 from __future__ import annotations
@@ -115,10 +117,11 @@ from typing import (
 if TYPE_CHECKING:  # deferred at runtime: session.py imports this module
     from .session import EventStreamSession
 
-from ..errors import EngineError
+from ..errors import EngineError, StreamStateError
 from ..xmlstream.events import Event, as_event_iterable
 from ..xmlstream.reader import DEFAULT_CHUNK_SIZE, StreamReader, TextSource
-from ..xmlstream.sax import event_batches
+from ..xmlstream.sax import PARSER_BACKENDS
+from ..xmlstream.tokenizer import StreamTokenizer
 from ..xpath.ast import QueryTree
 from .builder import shared_compiled_cache, shared_planner
 from .fastpath import FusedExpatDriver, fused_pure_multi_evaluate
@@ -709,21 +712,28 @@ class MultiQueryEvaluator:
     ) -> Iterator[Match]:
         """Yield :class:`~repro.core.results.Match` pairs incrementally.
 
-        An event iterable runs event by event; a document runs one parsed
-        chunk's event batch at a time through the kernel.
+        An event iterable runs event by event; a document runs a parsed
+        chunk at a time, the pure tokenizer or expat handing the kernel
+        each tag as it is read.  Like :meth:`evaluate`, a stream that no
+        family runtime reads keeps no ancestor chain.
         """
         if not self._subscriptions:
             raise EngineError("no queries registered")
-        run = self._kernel.run
         events = as_event_iterable(source)
-        batches = (
-            event_batches(source, parser=parser, chunk_size=chunk_size)
-            if events is None else ((event,) for event in events)
-        )
-        for batch in batches:
-            pairs = run(batch, [])
-            if pairs:
-                yield from pairs
+        if events is None:
+            self._check_unfinished()
+        kernel = self._kernel
+        if not self._started and not self._families:
+            kernel.context = None  # nothing reads a chain of this document
+        try:
+            if events is None:
+                for pairs in self._chunks(source, parser, chunk_size, True):
+                    yield from pairs
+            else:
+                for event in events:
+                    yield from kernel.run((event,), [])
+        finally:
+            kernel.context = self._index.context
         self._finished = True
 
     def evaluate(
@@ -734,70 +744,101 @@ class MultiQueryEvaluator:
     ) -> Dict[str, ResultSet]:
         """Consume the whole stream and return a result set per subscription.
 
-        Fresh evaluators over document sources use the fused multi-query
-        fast paths: a single bulk scan (pure) or direct expat callbacks
-        driving the dispatch index with no event objects.  Event iterables
-        and mid-stream continuations run through the event pipeline.
+        Documents never become event objects: a fresh evaluator runs an
+        in-memory ``str`` through the fused pure scan, and every other
+        document (and a bailed scan's replay) a parsed chunk at a time
+        through :meth:`stream`'s drivers.  Event iterables run through the
+        kernel as records.
         """
         if not self._subscriptions:
             raise EngineError("no queries registered")
+        events = as_event_iterable(source)
+        if events is None:
+            self._check_unfinished()
         kernel = self._kernel
-        fresh = not self._started and not self._finished
+        fresh = not self._started
         if fresh and not self._families:
             kernel.context = None  # nothing reads a chain of this document
         try:
-            events = as_event_iterable(source)
             if events is not None:
                 kernel.run(events, None)
-            elif not fresh or not self._fused(source, parser, chunk_size):
-                for batch in event_batches(source, parser=parser, chunk_size=chunk_size):
-                    kernel.run(batch, None)
+            elif not fresh or not self._fused_pure(source, parser):
+                try:
+                    for _ in self._chunks(source, parser, chunk_size, False):
+                        pass
+                except Exception:
+                    # Leave the machines clean so a later evaluate() cannot
+                    # mix this failed run's partial state (or collected
+                    # solutions) into its answers.  Callbacks that already
+                    # fired stay fired — delivery is incremental by design.
+                    kernel.reset()
+                    raise
         finally:
             kernel.context = self._index.context
         self._finished = True
         return self.results()
 
-    def _fused(self, source: TextSource, parser: str, chunk_size: int) -> bool:
-        """Run a fresh document through a fused source; False when none
-        applies, or the pure scan bailed and left the engine reset."""
+    def _check_unfinished(self) -> None:
+        """Refuse a document on a finished engine (an event stream's
+        ``StartDocument`` record is refused by the kernel; expat sends none)."""
+        if self._finished:
+            raise StreamStateError("evaluator already finished; call reset() first")
+
+    def _chunks(
+        self, source: TextSource, parser: str, chunk_size: int, pairs: bool
+    ) -> Iterator[Optional[List[Match]]]:
+        """Run a document through the kernel a parsed chunk at a time,
+        yielding each chunk's pairs (``None`` unless ``pairs``).
+
+        The pure tokenizer's sink is the kernel, so each tag reaches it as
+        the scan reads it; expat drives it through
+        :class:`~repro.core.fastpath.FusedExpatDriver`'s callbacks, counting
+        pre-order on from the engine's position.
+        """
+        if parser not in PARSER_BACKENDS:
+            raise ValueError(
+                f"unknown parser backend {parser!r}; expected one of {PARSER_BACKENDS}"
+            )
         kernel = self._kernel
-        if (
-            parser in ("native", "pure")
-            and isinstance(source, str)
-            and not StreamReader._looks_like_path(source)
-        ):
-            # A bailed scan is replayed through the event pipeline.  No
-            # callback may fire twice, so with callbacks the deliveries wait
-            # for the scan to succeed; without, they go out at once (no
-            # batch per emission stays alive) and only the counters roll back.
-            subscriptions = list(self._subscriptions.values())
-            delivered = [subscription.delivered for subscription in subscriptions]
-            callbacks = any(subscription.callback for subscription in subscriptions)
-            deliveries: Optional[List] = [] if callbacks else None
-            elements = fused_pure_multi_evaluate(kernel, source, deliveries)
-            if elements is None:
-                kernel.reset()
-                for subscription, count in zip(subscriptions, delivered):
-                    subscription.delivered = count
-                return False
-            if deliveries:
-                kernel.deliver(deliveries)
-            kernel.finish(elements)
-            return True
-        if parser != "expat":
-            return False
-        driver = FusedExpatDriver(kernel)
         reader = StreamReader(source, chunk_size=chunk_size)
-        try:
-            driver.run(reader.raw_chunks())
-        except Exception:
-            # Leave the machines clean so a later evaluate() cannot mix this
-            # failed run's partial state (or collected solutions) into its
-            # answers.  Callbacks that already fired stay fired — delivery
-            # is incremental by design.
+        if parser == "expat":
+            driver = FusedExpatDriver(kernel)
+            chunks, feed, close = reader.raw_chunks(), driver.feed, driver.finish
+        else:
+            tokenizer = StreamTokenizer(sink=kernel)
+            chunks, feed, close = reader.chunks(), tokenizer.feed, tokenizer.close
+        for chunk in chunks:
+            yield kernel.collect([] if pairs else None, feed, chunk)
+        yield kernel.collect([] if pairs else None, close)
+
+    def _fused_pure(self, source: TextSource, parser: str) -> bool:
+        """Run a fresh in-memory document through the fused pure scan;
+        False when it does not apply, or the scan bailed and left the
+        engine reset."""
+        if (
+            parser not in ("native", "pure")
+            or not isinstance(source, str)
+            or StreamReader._looks_like_path(source)
+        ):
+            return False
+        # A bailed scan is replayed through the tokenizer.  No callback may
+        # fire twice, so with callbacks the deliveries wait for the scan to
+        # succeed; without, they go out at once (no batch per emission
+        # stays alive) and only the counters roll back.
+        kernel = self._kernel
+        subscriptions = list(self._subscriptions.values())
+        delivered = [subscription.delivered for subscription in subscriptions]
+        callbacks = any(subscription.callback for subscription in subscriptions)
+        deliveries: Optional[List] = [] if callbacks else None
+        elements = fused_pure_multi_evaluate(kernel, source, deliveries)
+        if elements is None:
             kernel.reset()
-            raise
-        kernel.finish(driver.element_count)
+            for subscription, count in zip(subscriptions, delivered):
+                subscription.delivered = count
+            return False
+        if deliveries:
+            kernel.deliver(deliveries)
+        kernel.finish(elements)
         return True
 
     def results(self) -> Dict[str, ResultSet]:

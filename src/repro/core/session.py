@@ -15,16 +15,18 @@ ends the document, returning the trailing pairs.  Chunks may be split at
 *any* byte offset — mid-tag, mid-entity, mid multibyte sequence — and the
 resulting pair stream is identical to the one-shot ``evaluate()`` answer.
 
-Two drivers, selected by ``parser``:
+Two drivers, selected by ``parser``; neither builds event objects, and
+each delivers a match the moment the tag that decides it is read, not when
+its chunk is done:
 
 * ``"pure"`` / ``"native"`` — the incremental
   :class:`~repro.xmlstream.tokenizer.StreamTokenizer` (bytes decoded by
-  :class:`~repro.xmlstream.reader.IncrementalByteDecoder`), each completed
-  event pushed into the engine's :class:`~repro.core.kernel.Kernel`.
+  :class:`~repro.xmlstream.reader.IncrementalByteDecoder`) with the
+  engine's :class:`~repro.core.kernel.Kernel` as its sink: the scan hands
+  each construct to the kernel's record entries as it completes it.
 * ``"expat"`` — the fused
   :class:`~repro.core.fastpath.FusedExpatDriver` in push mode: chunks go
-  straight to ``Parse(chunk, 0)`` and callbacks drive the kernel with no
-  event objects.
+  straight to ``Parse(chunk, 0)`` and callbacks drive the kernel.
 
 :class:`EventStreamSession` is the parser-free third kind: decoded events,
 or binary event frames walked record by record into the kernel.
@@ -101,7 +103,7 @@ class StreamSession:
             self._spool: Optional[List[Union[str, bytes]]] = [] if resumable else None
         else:
             self._driver = None
-            self._tokenizer = StreamTokenizer(encoding=encoding)
+            self._tokenizer = StreamTokenizer(encoding=encoding, sink=engine._kernel)
             self._decoder = None
             self._spool = None
 
@@ -145,7 +147,7 @@ class StreamSession:
         self._check_open()
         try:
             if self._tokenizer is not None:
-                return self._push_events(self._tokenizer.feed_bytes(chunk))
+                return self._engine._kernel.collect([], self._tokenizer.feed_bytes, chunk)
             if self._decoder is not None:
                 chunk = self._decoder.decode(chunk)  # type: ignore[assignment]
             return self._feed_fused(chunk)
@@ -158,7 +160,7 @@ class StreamSession:
         self._check_open()
         try:
             if self._tokenizer is not None:
-                return self._push_events(self._tokenizer.feed(chunk))
+                return self._engine._kernel.collect([], self._tokenizer.feed, chunk)
             return self._feed_fused(chunk)
         except Exception:
             self._abort()
@@ -174,12 +176,12 @@ class StreamSession:
         """
         self._check_open()
         try:
+            kernel = self._engine._kernel
             if self._tokenizer is not None:
-                pairs = self._push_events(self._tokenizer.close())
+                pairs = kernel.collect([], self._tokenizer.close)
                 self._engine._finished = True
                 return pairs
             driver = self._driver
-            kernel = self._engine._kernel
             pairs = []
             if self._decoder is not None:
                 # Flush the explicit-encoding decoder: raises EncodingError
@@ -189,7 +191,6 @@ class StreamSession:
                 if tail:
                     kernel.collect(pairs, driver.feed, tail)
             kernel.collect(pairs, driver.finish)
-            kernel.finish(driver.element_count)
             return pairs
         except Exception:
             self._abort()
@@ -258,7 +259,9 @@ class StreamSession:
             session._driver = None
             session._decoder = None
             session._spool = None
-            session._tokenizer = StreamTokenizer.restore_state(state["tokenizer"])
+            session._tokenizer = StreamTokenizer.restore_state(
+                state["tokenizer"], sink=engine._kernel
+            )
         return session
 
     # ------------------------------------------------------------ internals
@@ -276,9 +279,6 @@ class StreamSession:
             raise CheckpointError(
                 "cannot snapshot a finished session; snapshot the engine instead"
             )
-
-    def _push_events(self, events) -> List[Match]:
-        return self._engine._kernel.run(events, [])
 
     def _abort(self) -> None:
         """Reset every machine after a stream error (engine stays usable).
@@ -299,12 +299,7 @@ class StreamSession:
             # lazily by encode_spool at snapshot time (eagerly concatenating
             # here would re-copy the whole prefix on every feed).
             spool.append(chunk)
-        engine = self._engine
-        pairs = engine._kernel.collect([], self._driver.feed, chunk)
-        if self._driver.element_count:
-            # Registrations from here on are mid-stream.
-            engine._started = True
-        return pairs
+        return self._engine._kernel.collect([], self._driver.feed, chunk)
 
 
 #: Parser label recorded in snapshots taken from an event session; distinct
@@ -342,7 +337,6 @@ class EventStreamSession:
     failed = StreamSession.failed
     _check_open = StreamSession._check_open
     _check_snapshot = StreamSession._check_snapshot
-    _push_events = StreamSession._push_events
     _abort = StreamSession._abort
 
     def __init__(self, engine) -> None:
@@ -367,7 +361,7 @@ class EventStreamSession:
         """Push a run of decoded events; return the pairs they completed."""
         self._check_open()
         try:
-            return self._push_events(events)
+            return self._engine._kernel.run(events, [])
         except Exception:
             self.abort()
             raise

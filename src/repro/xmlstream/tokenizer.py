@@ -2,8 +2,9 @@
 
 ViteX only needs a single sequential scan of the document, so the tokenizer is
 written as an incremental state machine: callers feed text chunks of arbitrary
-size with :meth:`StreamTokenizer.feed` and pull completed events out of the
-internal queue.  Nothing about the document is ever materialised beyond the
+size with :meth:`StreamTokenizer.feed` and get the completed events back — or,
+with a sink, have each construct handed to a consumer the moment it is read.
+Nothing about the document is ever materialised beyond the
 current open-element stack and the unfinished tail of the last chunk, which is
 what gives the engine its constant-memory behaviour on unbounded streams.
 
@@ -26,6 +27,7 @@ It deliberately does *not* implement DTD entity expansion or validation.
 from __future__ import annotations
 
 import re
+from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import XMLSyntaxError
@@ -206,6 +208,10 @@ def decode_entities(text: str, line: Optional[int] = None) -> str:
     return "".join(out)
 
 
+#: Drops what it is given: where the scan puts a sink's return values.
+_DISCARD = deque(maxlen=0).append
+
+
 class StreamTokenizer:
     """Incremental XML tokenizer producing :mod:`repro.xmlstream.events` events.
 
@@ -222,15 +228,41 @@ class StreamTokenizer:
     well-formedness checking and depth tracking) plus any unparsed tail of the
     most recent chunk, so its memory use is bounded by the document depth, not
     the document size.
+
+    Every construct the scan completes goes to a *sink*: four callables,
+    ``start_record(position, name, level, attributes, line)``,
+    ``end_record(position, name, level, line)``,
+    ``chars_record(position, text, level)`` and ``other(event)`` for a
+    whole rare event (document boundaries, comments, processing
+    instructions).  The default sink is the event list: the event classes
+    build each record and the list :meth:`feed` and :meth:`close` return
+    keeps it.  ``sink`` hands the records to another consumer as they are
+    scanned instead — the engine's :class:`~repro.core.kernel.Kernel`, so a
+    match is delivered the moment its deciding tag is read, with no event
+    object built — and :meth:`feed` and :meth:`close` then return empty
+    lists.  Both cost one call per record: the scan keeps what a record
+    callable returns, and a sink's return values are dropped.
     """
 
     def __init__(
-        self, coalesce_text: bool = True, encoding: Optional[str] = None
+        self, coalesce_text: bool = True, encoding: Optional[str] = None, *, sink=None
     ) -> None:
         self._encoding = encoding
         self._byte_decoder = None  # created lazily by feed_bytes
         self._buffer = ""
-        self._events: List[Event] = []
+        self._events: Optional[List[Event]] = None
+        if sink is None:
+            events = self._events = []
+            self._start_record = StartElement
+            self._end_record = EndElement
+            self._chars_record = Characters
+            self._other = self._keep = events.append
+        else:
+            self._start_record = sink.start_record
+            self._end_record = sink.end_record
+            self._chars_record = sink.chars_record
+            self._other = sink.other
+            self._keep = _DISCARD
         self._open_elements: List[str] = []
         self._position = 0
         self._line = 1
@@ -360,11 +392,12 @@ class StreamTokenizer:
         return state
 
     @classmethod
-    def restore_state(cls, state: dict) -> "StreamTokenizer":
+    def restore_state(cls, state: dict, *, sink=None) -> "StreamTokenizer":
         """Rebuild a tokenizer from :meth:`snapshot_state` output."""
         tokenizer = cls(
             coalesce_text=state.get("coalesce_text", True),
             encoding=state.get("encoding"),
+            sink=sink,
         )
         tokenizer._buffer = state["buffer"]
         tokenizer._open_elements = list(state["open_elements"])
@@ -390,11 +423,16 @@ class StreamTokenizer:
         return position
 
     def _emit(self, event: Event) -> None:
-        self._events.append(event)
+        self._other(event)
 
     def _drain(self) -> List[Event]:
-        events, self._events = self._events, []
-        return events
+        # The list stays: the sink's bound ``append`` keeps filling it.
+        events = self._events
+        if not events:
+            return []
+        drained = events[:]
+        events.clear()
+        return drained
 
     def _count_lines(self, text: str) -> None:
         self._line += text.count("\n")
@@ -414,13 +452,7 @@ class StreamTokenizer:
             self._pending_text.append(text)
             self._pending_text_level = len(self._open_elements)
         else:
-            self._emit(
-                Characters(
-                    position=self._next_position(),
-                    text=text,
-                    level=len(self._open_elements),
-                )
-            )
+            self._text_record(text, len(self._open_elements))
 
     def _queue_raw_text(self, text: str) -> None:
         """Queue text that must not undergo entity expansion (CDATA)."""
@@ -436,13 +468,10 @@ class StreamTokenizer:
             self._pending_text.append(text)
             self._pending_text_level = len(self._open_elements)
         else:
-            self._emit(
-                Characters(
-                    position=self._next_position(),
-                    text=text,
-                    level=len(self._open_elements),
-                )
-            )
+            self._text_record(text, len(self._open_elements))
+
+    def _text_record(self, text: str, level: int) -> None:
+        self._keep(self._chars_record(self._next_position(), text, level))
 
     def _flush_text(self) -> None:
         # NB: clears the pending list in place; _scan holds an alias to it.
@@ -451,13 +480,7 @@ class StreamTokenizer:
         text = "".join(self._pending_text)
         self._pending_text.clear()
         if text:
-            self._emit(
-                Characters(
-                    position=self._next_position(),
-                    text=text,
-                    level=self._pending_text_level,
-                )
-            )
+            self._text_record(text, self._pending_text_level)
 
     def _scan(self, final: bool = False) -> None:
         buffer = self._buffer
@@ -467,7 +490,10 @@ class StreamTokenizer:
         # ``position`` and ``line`` shadow the instance counters and are
         # written back before any call that reads them (slow path, text
         # queueing helpers) and on loop exit.
-        events = self._events
+        start_record = self._start_record
+        end_record = self._end_record
+        chars_record = self._chars_record
+        keep = self._keep
         open_elements = self._open_elements
         pending_text = self._pending_text
         coalesce = self._coalesce_text
@@ -503,7 +529,7 @@ class StreamTokenizer:
                         pending_text.append(text)
                         self._pending_text_level = len(open_elements)
                     else:
-                        events.append(Characters(position, text, len(open_elements)))
+                        keep(chars_record(position, text, len(open_elements)))
                         position += 1
                 elif text.strip():
                     raise XMLSyntaxError(
@@ -541,15 +567,13 @@ class StreamTokenizer:
                         )
                         pending_text.clear()
                         if text:
-                            events.append(
-                                Characters(position, text, self._pending_text_level)
-                            )
+                            keep(chars_record(position, text, self._pending_text_level))
                             position += 1
                     level = len(open_elements)
                     open_elements.pop()
                     if not open_elements:
                         self._root_closed = True
-                    events.append(EndElement(position, name, level, line))
+                    keep(end_record(position, name, level, line))
                     position += 1
                     index = end
                     continue
@@ -588,24 +612,20 @@ class StreamTokenizer:
                         )
                         pending_text.clear()
                         if text:
-                            events.append(
-                                Characters(position, text, self._pending_text_level)
-                            )
+                            keep(chars_record(position, text, self._pending_text_level))
                             position += 1
                     open_elements.append(name)
                     self._root_seen = True
                     level = len(open_elements)
                     # NodeRef.line is the line the tag begins on (as expat
                     # reports it); errors above keep the line it ends on.
-                    events.append(
-                        StartElement(position, name, level, attributes, line - newlines)
-                    )
+                    keep(start_record(position, name, level, attributes, line - newlines))
                     position += 1
                     if empty:
                         open_elements.pop()
                         if not open_elements:
                             self._root_closed = True
-                        events.append(EndElement(position, name, level, line))
+                        keep(end_record(position, name, level, line))
                         position += 1
                     index = end
                     continue
@@ -842,15 +862,9 @@ class StreamTokenizer:
         self._flush_text()
         self._open_elements.append(name)
         self._root_seen = True
-        self._emit(
-            StartElement(
-                position=self._next_position(),
-                name=name,
-                level=len(self._open_elements),
-                attributes=attributes,
-                line=line,
-            )
-        )
+        self._keep(self._start_record(
+            self._next_position(), name, len(self._open_elements), attributes, line
+        ))
 
     def _handle_end_tag(self, name: str) -> None:
         if not self._open_elements:
@@ -868,14 +882,7 @@ class StreamTokenizer:
         self._open_elements.pop()
         if not self._open_elements:
             self._root_closed = True
-        self._emit(
-            EndElement(
-                position=self._next_position(),
-                name=name,
-                level=level,
-                line=self._line,
-            )
-        )
+        self._keep(self._end_record(self._next_position(), name, level, self._line))
 
 
 def tokenize(text: str, coalesce_text: bool = True) -> Iterator[Event]:

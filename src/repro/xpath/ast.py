@@ -10,6 +10,8 @@ evaluation model.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import List, Optional, Sequence, Tuple, Union
@@ -259,6 +261,19 @@ class NodeKind(Enum):
     TEXT = "text"
 
 
+#: XPath 1.0 ``Number`` with optional sign and XML whitespace (§3.7, §4.4).
+_XPATH_NUMBER = re.compile(r"[ \t\r\n]*-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[ \t\r\n]*")
+
+
+def xpath_number(text: str) -> float:
+    """XPath 1.0 ``number()`` of a string (§4.4): a decimal number with
+    optional sign and surrounding whitespace, anything else (``1e3``,
+    ``1_000``, ``inf``, ``""``) NaN."""
+    if _XPATH_NUMBER.fullmatch(text):
+        return float(text)
+    return math.nan
+
+
 @dataclass(frozen=True)
 class ValueTest:
     """A comparison applied to a query node's string value."""
@@ -272,27 +287,34 @@ class ValueTest:
         return isinstance(self.value, float)
 
     def evaluate(self, text: Optional[str]) -> bool:
-        """Evaluate the test against a node's string value (None = node absent)."""
+        """Evaluate the test against a node's string value (None = node absent).
+
+        XPath 1.0 §3.4: ``=`` and ``!=`` against a number, and every
+        relational operator, compare the :func:`xpath_number` of both
+        sides, so NaN makes all but ``!=`` false; ``=`` and ``!=`` against
+        a string compare strings.
+        """
         if text is None:
             return False
+        op = self.op
         if self.is_numeric:
-            try:
-                left: Union[str, float] = float(text.strip())
-            except ValueError:
-                return False
-            right: Union[str, float] = float(self.value)
-        else:
+            left: Union[str, float] = xpath_number(text)
+            right: Union[str, float] = self.value
+        elif op is ComparisonOp.EQ or op is ComparisonOp.NEQ:
             left = text
-            right = str(self.value)
-        if self.op is ComparisonOp.EQ:
+            right = self.value
+        else:
+            left = xpath_number(text)
+            right = xpath_number(self.value)
+        if op is ComparisonOp.EQ:
             return left == right
-        if self.op is ComparisonOp.NEQ:
+        if op is ComparisonOp.NEQ:
             return left != right
-        if self.op is ComparisonOp.LT:
+        if op is ComparisonOp.LT:
             return left < right
-        if self.op is ComparisonOp.LTE:
+        if op is ComparisonOp.LTE:
             return left <= right
-        if self.op is ComparisonOp.GT:
+        if op is ComparisonOp.GT:
             return left > right
         return left >= right
 

@@ -8,8 +8,9 @@ reads ``runtime.evaluator.statistics`` off the runtimes of a
 refactor cannot silently break the traced pass.  The front ends must also
 leave the process-wide compiled-query cache as they found it, give their
 query a machine of its own, and cost what they did before they ran on the
-engine: ``evaluate()`` keeps no ancestor chain that no family reads, and
-``stream()`` runs a parsed chunk per kernel call.
+engine: ``evaluate()`` and ``stream()`` keep no ancestor chain that no
+family reads, and ``stream()`` runs a parsed chunk per kernel call, with no
+event objects.
 """
 
 from __future__ import annotations
@@ -113,23 +114,74 @@ def test_evaluate_keeps_an_ancestor_chain_only_for_families(parser, monkeypatch)
     assert chains[1] == []
 
 
-def test_stream_runs_one_batch_per_parsed_chunk(monkeypatch):
-    sizes = []
-    run = Kernel.run
+@pytest.mark.parametrize("parser", ["pure", "expat"])
+def test_stream_keeps_an_ancestor_chain_only_for_families(parser, monkeypatch):
+    chains = []
+    tokenizer = multi_module.StreamTokenizer
+    driver = multi_module.FusedExpatDriver
 
-    def spy(kernel, events, emitted):
-        events = list(events)
-        sizes.append(len(events))
-        return run(kernel, events, emitted)
+    def spy_tokenizer(*args, sink):
+        chains.append(sink.context)
+        return tokenizer(*args, sink=sink)
 
-    monkeypatch.setattr(Kernel, "run", spy)
+    def spy_driver(kernel):
+        chains.append(kernel.context)
+        return driver(kernel)
+
+    monkeypatch.setattr(multi_module, "StreamTokenizer", spy_tokenizer)
+    monkeypatch.setattr(multi_module, "FusedExpatDriver", spy_driver)
+    for query, families in ((QUERY, 0), ("//entry//name", 1)):
+        with MultiQueryEvaluator() as engine:
+            engine.subscribe(query, name="q")
+            assert engine.stats().families == families
+            pairs = list(engine.stream(io.StringIO(DOCUMENT), parser=parser))
+            expected = evaluate_with_dom(query, DOCUMENT).solutions
+            assert [solution for _, solution in pairs] == expected
+            assert engine._kernel.context is engine.index.context
+    assert chains[0] is None
+    assert chains[1] == []
+
+
+def test_reset_gives_back_the_chain_an_unfinished_stream_dropped():
+    with MultiQueryEvaluator() as engine:
+        engine.subscribe(QUERY, name="q")
+        unfinished = engine.stream(DOCUMENT, parser="pure", chunk_size=64)
+        next(unfinished)
+        assert engine._kernel.context is None
+        engine.reset()
+        engine.subscribe("//db//name", name="family")
+        assert engine.stats().families == 1
+        session = engine.session(parser="pure")
+        session.feed_text(DOCUMENT)
+        session.finish()
+        expected = evaluate_with_dom("//db//name", DOCUMENT).solutions
+        assert engine.results()["family"].solutions == expected
+        unfinished.close()
+
+
+@pytest.mark.parametrize("parser", ["pure", "expat"])
+def test_stream_runs_one_kernel_call_per_parsed_chunk(parser, monkeypatch):
+    calls = []
+    collect = Kernel.collect
+
+    def spy(kernel, emitted, call, *args):
+        calls.append(args)
+        return collect(kernel, emitted, call, *args)
+
+    monkeypatch.setattr(Kernel, "collect", spy)
+    monkeypatch.setattr(Kernel, "run", None)  # no event objects reach the kernel
     expected = evaluate_with_dom("//entry/name", DOCUMENT).solutions
     solutions = list(
-        repro.stream_evaluate("//entry/name", io.StringIO(DOCUMENT), chunk_size=512)
+        repro.stream_evaluate(
+            "//entry/name", io.StringIO(DOCUMENT), parser=parser, chunk_size=512
+        )
     )
     assert solutions == expected
     with MultiQueryEvaluator() as engine:
         engine.subscribe("//entry/name", name="q")
-        pairs = list(engine.stream(io.StringIO(DOCUMENT), chunk_size=512))
+        pairs = list(engine.stream(io.StringIO(DOCUMENT), parser=parser, chunk_size=512))
     assert [solution for _, solution in pairs] == expected
-    assert sum(sizes) > 10 * len(sizes)
+    # One call per 512-character chunk plus the close, per run.
+    chunks = -(-len(DOCUMENT) // 512)
+    assert len(calls) == 2 * (chunks + 1)
+    assert [len(args) for args in calls] == ([1] * chunks + [0]) * 2

@@ -129,6 +129,26 @@ class TestSingleKernel:
             "core/engine.py:222: Kernel(",
         ]
 
+    def test_a_tokenizer_driving_a_kernel_elsewhere_is_reported(self, tmp_path):
+        core = tmp_path / "core"
+        core.mkdir()
+        source = (
+            "from ..xmlstream.tokenizer import StreamTokenizer\n"
+            "tokenizer = StreamTokenizer(encoding=None, sink=engine._kernel)\n"
+            "restored = StreamTokenizer.restore_state(state, sink=kernel)\n"
+            "events = StreamTokenizer(encoding=None)\n"
+            "plain = StreamTokenizer.restore_state(state)\n"
+        )
+        for name in ("docstream.py", "session.py", "multi.py"):
+            (core / name).write_text(source)
+        result = run_tool("check_single_kernel.py", str(tmp_path))
+        assert result.returncode == 1
+        reported = [line.strip() for line in result.stderr.splitlines()[1:]]
+        assert reported == [
+            "core/docstream.py:2: StreamTokenizer(sink=",
+            "core/docstream.py:3: restore_state(sink=",
+        ]
+
     def test_a_hand_copied_text_accumulator_is_reported(self, tmp_path):
         core = tmp_path / "core"
         core.mkdir()

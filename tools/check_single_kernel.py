@@ -21,8 +21,10 @@ keeps its own).  It also keeps one kernel and one driver per input format:
   ``core/__init__.py``, which re-exports the functions;
 * no module under ``core/`` imports an underscore name from
   ``xmlstream/`` (a second frame or tag decoder would need one);
-* only ``core/multi.py`` and ``core/session.py`` construct a ``Kernel`` or
-  call ``fused_pure_multi_evaluate`` / ``FusedExpatDriver`` (one engine, and
+* only ``core/multi.py`` and ``core/session.py`` construct a ``Kernel``,
+  call ``fused_pure_multi_evaluate`` / ``FusedExpatDriver``, or build a
+  ``StreamTokenizer`` (or ``restore_state`` one) with a ``sink=`` — a
+  tokenizer driving a kernel (one engine, and
   ``MultiQueryEvaluator.evaluate()`` the one place that picks a fused
   source).
 
@@ -50,6 +52,9 @@ ACCUMULATORS = frozenset({"string_parts", "direct_parts"})
 KERNEL = frozenset({os.path.join("core", "transitions.py"), os.path.join("core", "stack.py")})
 IMPORTERS = frozenset(os.path.join("core", name) for name in ("__init__.py", "kernel.py"))
 ENGINE_PARTS = frozenset({"Kernel", "fused_pure_multi_evaluate", "FusedExpatDriver"})
+#: Calls that are engine parts when given a ``sink=``: a tokenizer whose
+#: records go straight to a kernel.
+SINK_SOURCES = frozenset({"StreamTokenizer", "restore_state"})
 ENGINES = frozenset(os.path.join("core", name) for name in ("multi.py", "session.py"))
 
 
@@ -66,13 +71,18 @@ def _references(tree: ast.AST, names: frozenset) -> Iterator[Tuple[int, str]]:
 
 
 def _engine_calls(tree: ast.AST) -> Iterator[Tuple[int, str]]:
-    """Calls that build a kernel or run a fused source."""
+    """Calls that build a kernel, run a fused source or give a tokenizer
+    a sink."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             function = node.func
             name = getattr(function, "id", None) or getattr(function, "attr", None)
             if name in ENGINE_PARTS:
                 yield node.lineno, f"{name}("
+            elif name in SINK_SOURCES and any(
+                keyword.arg == "sink" for keyword in node.keywords
+            ):
+                yield node.lineno, f"{name}(sink="
 
 
 def _driver_imports(
@@ -128,8 +138,8 @@ def main(argv: List[str] | None = None) -> int:
             "FAIL: transition internals referenced outside core/transitions.py "
             "and core/stack.py (hand the tags to core/kernel.py instead), "
             "the transition functions imported outside core/kernel.py, or a "
-            "kernel or fused source driven outside core/multi.py and "
-            "core/session.py:",
+            "kernel, fused source or tokenizer sink driven outside "
+            "core/multi.py and core/session.py:",
             file=sys.stderr,
         )
         for entry in found:
