@@ -35,9 +35,10 @@ EngineStatistics` counters are not maintained (a measurable saving on the
         opt out of that memory cost.
     containment_sharing:
         Deprecated no-op, kept until 2.0.  Containment sharing is how the
-        engine always runs since 1.5: linear predicate-free path queries
-        selecting the same output label share one anchor machine plus
-        per-shape residual checks (:mod:`repro.xpath.containment`).  Passing
+        engine always runs since 1.5: queries anchored at the same label
+        (linear paths selecting it, and paths predicated only at it) share
+        one anchor machine plus per-shape residual checks
+        (:mod:`repro.xpath.containment`).  Passing
         any value raises a :class:`DeprecationWarning`; nothing reads it.
     """
 

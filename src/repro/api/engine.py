@@ -7,10 +7,12 @@ verb set:
   engine with one subscription, which is what ``repro.evaluate`` runs too.
   Measured on the perfbench one-shot inputs (seed 2005, 10 alternating
   runs, median process CPU), a one-subscription :meth:`Engine.evaluate`
-  costs 1.03× ``repro.evaluate`` on the recursive tree (expat) and 0.98× on
-  protein (pure).  Those queries carry predicates; a lone predicate-free
-  path rides a containment family here, which ``repro.evaluate`` never
-  does, and costs up to 2.1× the CPU of a machine of its own;
+  costs 1.03× ``repro.evaluate`` on the recursive tree (expat).  A lone
+  query the sharing planner accepts rides a containment family here,
+  which ``repro.evaluate`` never does: the protein query
+  (``//ProteinEntry[reference]/@id``, predicated at its anchor) costs
+  1.11× the process CPU of a machine of its own (3 MB, pure, best of
+  three), and a predicate-free path up to 2.1×;
 * ``MultiQueryEvaluator`` (indexed subscriptions) — :class:`Engine` wraps
   one (see :attr:`Engine.core`) and inherits its sharing machinery: shared
   compilation, shared machines, containment families, label dispatch.

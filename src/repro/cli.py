@@ -37,6 +37,7 @@ from .datasets.recursive import RecursiveBookGenerator, RecursiveConfig
 from .datasets.treebank import TreebankConfig, TreebankGenerator
 from .errors import ViteXError
 from .xpath.analysis import describe
+from .xpath.containment import residual_plan, sharing_refusal
 from .xpath.normalize import compile_query, query_to_string
 
 
@@ -933,6 +934,11 @@ def _command_explain(args: argparse.Namespace) -> int:
     tree = compile_query(args.query)
     print(f"Query: {args.query}")
     print(f"Shape: {describe(tree)}")
+    plan = residual_plan(tree)
+    if plan is not None:
+        print(f"Sharing: {plan.describe()}")
+    else:
+        print(f"Sharing: private ({sharing_refusal(tree)})")
     print()
     print("Normalized query twig:")
     print(query_to_string(tree))

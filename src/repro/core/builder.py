@@ -16,10 +16,10 @@ per *distinct* query shape no matter how many subscriptions register it.  The
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import UnsupportedFeatureError
-from ..xpath.ast import FormulaTrue, NodeKind, QueryNode, QueryTree
+from ..xpath.ast import Axis, FormulaTrue, NodeKind, QueryNode, QueryTree
 from ..xpath.containment import ResidualPlan, residual_plan
 from ..xpath.fingerprint import query_fingerprint
 from ..xpath.normalize import compile_query
@@ -52,6 +52,48 @@ def build_machine(query: Union[str, QueryTree]) -> TwigMachine:
     nodes: List[MachineNode] = []
     root = _build_node(tree.root, parent=None, is_predicate_branch=False, nodes=nodes)
     _mark_unconditional_ancestry(root, ancestors_unconditional=True)
+    return TwigMachine(query=tree, root=root, nodes=nodes)
+
+
+def build_anchor_machine(
+    label: str, captures: Sequence[Tuple[str, bool]] = (), attributes: bool = False
+) -> TwigMachine:
+    """Build a family's anchor machine: ``//label`` selecting itself.
+
+    Each of ``captures`` (``(child label, valued)`` pairs, in the given
+    order) becomes a capture child: a predicate branch whose pop leaves
+    ``(element, string value)`` on the anchor entry as a text candidate —
+    the value is collected only when ``valued``, and is ``None`` otherwise.
+    With ``attributes`` every attribute of the start tag is kept on the
+    entry too (an ``@*`` output).  Both travel with the anchor's emission;
+    the anchor's formula stays true, so every anchor is emitted and the
+    family decides which members it answers.
+    """
+    root_query = QueryNode(
+        node_id=0, label=label, kind=NodeKind.ELEMENT, axis=Axis.DESCENDANT,
+        is_output=True,
+    )
+    root = MachineNode(query_node=root_query, is_output=True)
+    nodes = [root]
+    for node_id, (capture, valued) in enumerate(captures, start=1):
+        query_node = QueryNode(
+            node_id=node_id, label=capture, kind=NodeKind.ELEMENT, axis=Axis.CHILD,
+            parent=root_query,
+        )
+        root_query.predicate_children.append(query_node)
+        child = MachineNode(
+            query_node=query_node, parent=root, is_predicate_branch=True,
+            is_capture=True, needs_string_value=valued,
+        )
+        root.children.append(child)
+        nodes.append(child)
+    if attributes:
+        root.attribute_output = QueryNode(
+            node_id=len(nodes), label="*", kind=NodeKind.ATTRIBUTE,
+            axis=Axis.ATTRIBUTE, is_output=True, parent=root_query,
+        )
+    _mark_unconditional_ancestry(root, ancestors_unconditional=True)
+    tree = QueryTree(root=root_query, output_node=root_query, source=f"//{label}")
     return TwigMachine(query=tree, root=root, nodes=nodes)
 
 

@@ -21,8 +21,11 @@ continue a half-parsed document in another process:
 
 Machine *structure* never travels: queries are recompiled from their source
 text on restore, which is deterministic, so stack entries can reference
-query nodes by their stable ids.  Callbacks are not serialized — a restored
-subscription starts with ``callback=None`` and the owner re-binds delivery.
+query nodes by their stable ids.  A capturing family's anchor shape is the
+one exception, carried as its ``captures`` and rebuilt before its stacks;
+what its entries captured travels with their candidates.  Callbacks are not
+serialized — a restored subscription starts with ``callback=None`` and the
+owner re-binds delivery.
 
 The serialized form is canonical JSON (sorted keys, no whitespace, UTF-8)
 with bytes fields base64-encoded, tagged with ``format``/``version`` for
@@ -217,6 +220,13 @@ def engine_state(engine) -> Dict[str, Any]:
             # machine; member shapes travel as (source, collector) pairs and
             # their residual steps are re-derived from the source on restore.
             payload["family"] = True
+            if runtime.capturing:
+                # The anchor's shape, which restore rebuilds before its
+                # stacks: its capture children, and its kept attributes.
+                payload["captures"] = {
+                    "children": [list(item) for item in runtime.captures.items()],
+                    "attributes": runtime.attributes,
+                }
             payload["groups"] = [
                 {
                     "source": group.source,
@@ -283,9 +293,12 @@ def restore_engine_into(engine, state: Dict[str, Any]) -> None:
             anchor_label = compiled.tree.root.label
             try:
                 if item.get("family"):
+                    captures = item.get("captures", {})
                     runtime = FamilyRuntime(
                         compiled, anchor_label, engine._index.context,
                         engine._collect_statistics,
+                        {label: valued for label, valued in captures.get("children", ())},
+                        captures.get("attributes", False),
                     )
                 else:
                     runtime = QueryRuntime(compiled, engine._collect_statistics)
@@ -305,14 +318,22 @@ def restore_engine_into(engine, state: Dict[str, Any]) -> None:
             for group_item in item.get("groups", ()):
                 group_compiled = shared_compiled_cache.acquire(group_item["source"])
                 plan = shared_planner.plan(group_compiled)
-                if plan is None or plan.anchor_label != anchor_label:
+                if (
+                    plan is None
+                    or plan.anchor_label != anchor_label
+                    or any(
+                        label not in runtime.captures or valued > runtime.captures[label]
+                        for label, valued in plan.captures.items()
+                    )
+                    or (plan.attributes and not runtime.attributes)
+                ):
                     shared_compiled_cache.release(group_compiled)
                     raise CheckpointError(
                         f"snapshot group {group_item['source']!r} does "
                         f"not belong to the {anchor_label!r} family"
                     )
                 group = runtime.add_group(
-                    group_compiled, plan.steps, trie_path(group_compiled.tree)
+                    group_compiled, plan, trie_path(group_compiled.tree)
                 )
                 engine._index.add_path(group.trie)
                 collector_from_state(group_item["collector"], group.collector)
@@ -332,9 +353,14 @@ def restore_engine_into(engine, state: Dict[str, Any]) -> None:
                 subscription.group.subscribers.append(subscription)
             else:
                 runtime.subscribers.append(subscription)
+                if not state["runtimes"][item["runtime"]]["shared"]:
+                    # Private because it joined mid-stream: it moves to a
+                    # shared machine at the next document.
+                    engine._joined_late.append(subscription)
             engine._subscriptions[item["name"]] = subscription
     except Exception:
         engine._subscriptions.clear()
+        engine._joined_late.clear()
         engine._by_fingerprint.clear()
         engine._families.clear()
         for runtime in runtimes:

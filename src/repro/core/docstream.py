@@ -31,7 +31,10 @@ documents that never end.  :class:`DocumentStreamSession`
   *partial* current document — replays through a private machine, which is
   then grafted into the live dispatch index at exactly the stream
   position, so replayed + live deliveries equal the one-shot result set
-  with no duplicate and no gap at any splice offset.
+  with no duplicate and no gap at any splice offset.  At the next document
+  boundary (at once, when it joins between documents) the subscription
+  moves to its containment family or shared machine, as any subscription
+  that joined mid-document does.
 
 Mid-stream semantics recap (``replay_window=False`` is unchanged engine
 behaviour): a subscriber added between documents joins cold and sees every
@@ -994,9 +997,14 @@ class DocumentStreamSession:
         replay._index.remove(runtime)
         # Graft into live dispatch: the machine is warm at exactly the
         # engine's current position, so the next engine.push continues the
-        # document with no duplicate and no gap.
+        # document with no duplicate and no gap.  Like any mid-stream
+        # subscription it moves to its family or shared machine when the
+        # position next returns to the start — at once, between documents.
         engine._subscriptions[name] = subscription
         engine._index.add(runtime)
+        engine._joined_late.append(subscription)
+        if not engine._started:
+            engine._rehome()
         return subscription, pairs
 
     # ------------------------------------------------------------ internals
@@ -1109,8 +1117,9 @@ class DocumentStreamSession:
         if self._spool is not None:
             self._spool.seal_document()
         # Unlike engine.reset(), keeps every subscription's delivered count
-        # (the stream-global delivery history is the point of the session).
-        self._engine._kernel.reset()
+        # (the stream-global delivery history is the point of the session);
+        # subscriptions that joined mid-document move to shared machines.
+        self._engine._rewind()
         if self._window_docs >= self.window_documents:
             self._seal_window()
 
@@ -1122,7 +1131,7 @@ class DocumentStreamSession:
             self._spool.abort_document()
         self._frame_buffer.clear()
         self._frame_expected = None
-        self._engine._kernel.reset()
+        self._engine._rewind()
 
     def _handle_parse_error(self, completed: bool) -> None:
         self._abandon_document()

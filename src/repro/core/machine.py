@@ -57,6 +57,10 @@ class MachineNode:
     is_predicate_branch: bool = False
     #: True when this node's own element matches are the query output.
     is_output: bool = False
+    #: True for a family anchor's capture child (a predicate branch): its
+    #: pop hands the element and its string value to the parent entries
+    #: instead of setting a flag (see ``FamilyRuntime``).
+    is_capture: bool = False
     #: True when entries must accumulate the element's string value.
     needs_string_value: bool = False
     #: True when this node itself imposes no predicate/value constraints
@@ -217,7 +221,9 @@ class TwigMachine:
             details = []
             if node.is_output:
                 details.append("output")
-            if node.is_predicate_branch:
+            if node.is_capture:
+                details.append("capture")
+            elif node.is_predicate_branch:
                 details.append("predicate branch")
             if node.attribute_predicates:
                 names = ", ".join(f"@{attr.label}" for attr in node.attribute_predicates)

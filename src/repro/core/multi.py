@@ -13,19 +13,20 @@ dozen subscriptions, should not even *dispatch* every event to every query.
 2. **Shared machines** — subscriptions whose queries have equal fingerprints
    share one TwigM machine (:class:`~repro.core.queryindex.QueryRuntime`);
    solutions fan out to every subscriber.
-3. **Containment sharing** — linear predicate-free path queries selecting
-   the same output label (``//a//c``, ``/r/a//c``, … refinement families)
-   collapse onto one anchor machine for ``//c`` plus a per-shape residual
-   ancestor-path check at emission time
+3. **Containment sharing** — queries anchored at the same label
+   (``//a//c``, ``/r/a//c``, … refinement families, and predicated ones
+   such as ``//c[p>5]/@id`` or ``/r/c[@k='x']/d`` whose only predicated
+   step is the anchor) collapse onto one anchor machine for ``//c`` plus a
+   per-shape residual check at emission time: the ancestor path, then the
+   anchor predicate over the children and attributes the anchor captured
    (:class:`~repro.core.queryindex.FamilyRuntime`, planned by
    :class:`~repro.core.builder.SharingPlanner` over
    :mod:`repro.xpath.containment`).  Queries outside the provably-safe
-   fragment — predicates, value tests, attribute/text output — keep
-   fingerprint-shared machines.  Every eligible subscription that joins at
-   stream start rides its family; each member keeps a list of references
-   to the anchor's already-deduplicated solutions, never a second keyed
-   copy.  (The ``containment_sharing`` keyword of 1.4 is a deprecated
-   no-op.)
+   fragment — predicates elsewhere on the path, deeper outputs, ``text()``
+   output — keep fingerprint-shared machines.  Every eligible subscription
+   that joins at stream start rides its family; each member keeps a list
+   of references to its solutions, never a second keyed copy.  (The
+   ``containment_sharing`` keyword of 1.4 is a deprecated no-op.)
 4. **Trie dispatch** — a :class:`~repro.core.queryindex.QueryIndex` interns
    every registration path into a prefix trie and memoizes the interest set
    per element tag, so a start/end event touches only interested machines
@@ -62,8 +63,11 @@ Subscription lifecycle
   its results cover only the remainder of the stream (end tags for elements
   it never saw pop nothing; levels are absolute, so axis checks stay
   correct).  To keep that guarantee unconditional, mid-stream registrations
-  always get a *private* machine — they never attach to a warm shared one,
-  even for a structurally identical query.
+  get a *private* machine — they never attach to a warm shared one, even
+  for a structurally identical query — until the stream position next
+  returns to the start (a document stream's next document, :meth:`reset`):
+  then they move to their family or shared machine, keeping their name,
+  callback, counters and pause state.
 * :meth:`unregister` — allowed any time; drops the subscription, and tears
   down the machine and its compiled-cache reference when the last
   subscriber of that query shape leaves.
@@ -94,7 +98,8 @@ work counters (pushes, pops, flags, candidates, solutions, peaks) are the
 same from every source; ``events`` counts the records a machine was
 dispatched, which the fused sources do not count, so it differs between
 them and the record sources (pure tokenizer, event objects, frames).
-The ``(name, solution)`` output streams never differ.
+The ``(name, solution)`` output streams never differ.  A subscription
+riding a family reports its family anchor's counters.
 """
 
 from __future__ import annotations
@@ -254,6 +259,9 @@ class MultiQueryEvaluator:
         self._element_order = 0
         self._finished = False
         self._started = False
+        #: Subscriptions on a private machine because they joined mid-stream
+        #: (see :meth:`_rewind`).
+        self._joined_late: List[Subscription] = []
         #: The one kernel over the index.
         self._kernel = Kernel(self._index, self)
 
@@ -303,8 +311,15 @@ class MultiQueryEvaluator:
         # therefore always get a private machine (compilation is still
         # shared through the cache).  The same joined-at-start requirement
         # gates containment sharing: a family anchor machine is warm by
-        # definition once the stream has started.
-        return self._subscribe(query, callback, name, share=not self._started)
+        # definition once the stream has started.  The private machine is
+        # kept only until the position returns to the start (the next
+        # document of a document stream, or reset()): then the subscription
+        # moves to its family or shared machine (:meth:`_rewind`).
+        share = not self._started
+        subscription = self._subscribe(query, callback, name, share=share)
+        if not share:
+            self._joined_late.append(subscription)
+        return subscription
 
     def _subscribe(self, query, callback=None, name=None, share=False) -> Subscription:
         """:meth:`subscribe`; ``share=False`` gives the query a private
@@ -316,22 +331,24 @@ class MultiQueryEvaluator:
         source = query if isinstance(query, str) else query.source
         compiled = shared_compiled_cache.acquire(query)
         plan = shared_planner.plan(compiled) if share else None
-        if plan is not None:
-            return self._subscribe_family(plan, compiled, source, name, callback)
-        runtime = self._by_fingerprint.get(compiled.fingerprint) if share else None
-        if runtime is None:
-            try:
-                runtime = QueryRuntime(compiled, self._collect_statistics)
-            except Exception:
-                shared_compiled_cache.release(compiled)
-                raise
-            if share:
-                self._by_fingerprint[compiled.fingerprint] = runtime
-            self._index.add(runtime)
+        group = None
+        try:
+            if plan is not None:
+                runtime, group = self._join_family(plan, compiled)
+            else:
+                runtime = self._by_fingerprint.get(compiled.fingerprint) if share else None
+                if runtime is None:
+                    runtime = QueryRuntime(compiled, self._collect_statistics)
+                    if share:
+                        self._by_fingerprint[compiled.fingerprint] = runtime
+                    self._index.add(runtime)
+        except Exception:
+            shared_compiled_cache.release(compiled)
+            raise
         subscription = Subscription(
-            name=name, source=source, runtime=runtime, callback=callback
+            name=name, source=source, runtime=runtime, group=group, callback=callback
         )
-        runtime.subscribers.append(subscription)
+        (runtime if group is None else group).subscribers.append(subscription)
         self._subscriptions[name] = subscription
         return subscription
 
@@ -346,20 +363,15 @@ class MultiQueryEvaluator:
             raise EngineError(f"a subscription named {name!r} already exists")
         return name
 
-    def _subscribe_family(
-        self,
-        plan,
-        compiled,
-        source: str,
-        name: str,
-        callback: Optional[Callable[[Solution], None]],
-    ) -> Subscription:
-        """Attach a subscription to its containment-shared family.
+    def _join_family(self, plan, compiled) -> Tuple[FamilyRuntime, ResidualGroup]:
+        """The family and member group serving ``compiled`` under ``plan``.
 
-        The family's anchor machine (``//c``) is created on first use;
-        subsequent members of the same family — and all members of the same
-        *shape* — only add a pooled residual-group record, so registering
-        the millionth refinement costs no new machine.
+        The family's anchor machine (``//c``) is created on first use and
+        widened to the plan's captures; subsequent members of the same
+        family — and all members of the same *shape* — only add a pooled
+        residual-group record, so registering the millionth refinement costs
+        no new machine.  Only called at the start of the stream, where every
+        machine is at rest.
         """
         family = self._families.get(plan.anchor_label)
         if family is None:
@@ -371,24 +383,51 @@ class MultiQueryEvaluator:
                 )
             except Exception:
                 shared_compiled_cache.release(anchor)
-                shared_compiled_cache.release(compiled)
                 raise
             self._families[plan.anchor_label] = family
             self._index.add(family)
         group = family.groups.get(compiled.fingerprint)
         if group is None:
-            group = family.add_group(compiled, plan.steps, trie_path(compiled.tree))
+            labels = family.labels
+            if family.widen(plan.captures, plan.attributes):
+                self._index.relabel(family, labels)
+            group = family.add_group(compiled, plan, trie_path(compiled.tree))
             self._index.add_path(group.trie)
-        subscription = Subscription(
-            name=name,
-            source=source,
-            runtime=family,
-            group=group,
-            callback=callback,
-        )
-        group.subscribers.append(subscription)
-        self._subscriptions[name] = subscription
-        return subscription
+        return family, group
+
+    def _rewind(self) -> None:
+        """Return the stream position to the start (every machine reset)
+        and move each subscription that holds a private machine only
+        because it joined mid-stream to its family or shared machine.  The
+        subscription keeps its name, callback, counters and pause state."""
+        self._kernel.reset()
+        self._rehome()
+
+    def _rehome(self) -> None:
+        """:meth:`_rewind`'s second half, for a position already at rest."""
+        joined_late, self._joined_late = self._joined_late, []
+        for subscription in joined_late:
+            runtime = subscription.runtime
+            if (
+                self._subscriptions.get(subscription.name) is not subscription
+                or subscription.group is not None
+                or self._by_fingerprint.get(runtime.fingerprint) is runtime
+            ):
+                continue  # unsubscribed, or already shared
+            compiled = runtime.compiled
+            plan = shared_planner.plan(compiled)
+            shared = None if plan is not None else self._by_fingerprint.get(compiled.fingerprint)
+            if plan is None and shared is None:
+                # The first of its shape: its own machine becomes the shared one.
+                self._by_fingerprint[compiled.fingerprint] = runtime
+                continue
+            self._index.remove(runtime)
+            if plan is None:
+                subscription.runtime = shared
+                shared.subscribers.append(subscription)
+            else:
+                subscription.runtime, subscription.group = self._join_family(plan, compiled)
+                subscription.group.subscribers.append(subscription)
 
     def subscribe_many(
         self,
@@ -870,8 +909,9 @@ class MultiQueryEvaluator:
         }
 
     def reset(self) -> None:
-        """Reset every registered machine so another stream can be processed."""
-        self._kernel.reset()
+        """Reset every registered machine so another stream can be processed
+        (subscriptions that joined mid-stream move to shared machines)."""
+        self._rewind()
         for subscription in self._subscriptions.values():
             subscription.delivered = 0
             subscription.callback_errors = 0

@@ -19,11 +19,16 @@ that make the multi-query path scale to the million-subscription axis:
   Registration is O(path length + labels); dispatch of a warm tag is one
   dict probe regardless of how many machines are registered.
 * **Containment-shared families** — a :class:`FamilyRuntime` runs one
-  anchor machine (``//c``) for a whole family of linear path queries
-  selecting ``c`` (see :mod:`repro.xpath.containment`); each member is a
-  pooled :class:`ResidualGroup` record holding the member's residual step
-  sequence, its subscribers and its result collector.  The residual check
-  runs once per (family, ancestor chain) thanks to a chain-keyed memo.
+  anchor machine (``//c``) for a whole family of queries anchored at ``c``
+  (see :mod:`repro.xpath.containment`): linear paths selecting ``c``, and
+  paths whose one predicated step is ``c`` (``//c[p>5]``, ``//c[@k='x']/d``,
+  ``//a//c/@id``).  Each member is a pooled :class:`ResidualGroup` record
+  holding the member's residual step sequence, anchor predicate and output,
+  its subscribers and its result collector.  The residual path check runs
+  once per (family, ancestor chain) thanks to a chain-keyed memo; a family
+  whose members test or select the anchor's children or attributes has its
+  anchor capture them, and evaluates each distinct predicate atom once per
+  emitted anchor.
 
 Every per-registration record (:class:`QueryRuntime`, :class:`FamilyRuntime`,
 :class:`ResidualGroup`, trie nodes) uses ``__slots__`` so a million standing
@@ -45,16 +50,24 @@ index describe only the events actually dispatched to that machine — see
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import StreamStateError
-from ..xpath.ast import Axis, NodeKind, QueryTree
-from ..xpath.containment import ResidualStep, path_matches
-from .builder import CompiledQuery
+from ..xpath.ast import Axis, ComparisonOp, NodeKind, QueryTree, xpath_number
+from ..xpath.containment import Predicate, PredicateAtom, ResidualPlan, path_matches
+from .builder import CompiledQuery, build_anchor_machine
 from .machine import TwigMachine
-from .results import MemberCollector, Match, ResultCollector, ResultSet, Solution
+from .results import (
+    MemberCollector,
+    Match,
+    ResultCollector,
+    ResultSet,
+    Solution,
+    SolutionKind,
+)
 from .statistics import EngineStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -255,21 +268,39 @@ class QueryRuntime(_Runtime):
 class ResidualGroup:
     """One query shape inside a containment-shared family.
 
-    A pooled record: every subscriber of this shape shares the single steps
-    tuple, collector and membership list — the per-subscription cost of the
+    A pooled record: every subscriber of this shape shares the single plan,
+    collector and membership list — the per-subscription cost of the
     million-subscription axis is the :class:`~repro.core.multi.Subscription`
     handle plus one list slot here.  The collector is a
     :class:`~repro.core.results.MemberCollector`: the anchor has already
     deduplicated every solution, so the group keeps one reference per match.
+    ``predicate`` is the plan's anchor predicate over the *family's* atom
+    table (``None`` without one) and ``output`` the plan's output.
     """
 
-    __slots__ = ("compiled", "steps", "trie", "subscribers", "collector")
+    __slots__ = (
+        "compiled",
+        "plan",
+        "steps",
+        "predicate",
+        "output",
+        "trie",
+        "subscribers",
+        "collector",
+    )
 
     def __init__(
-        self, compiled: CompiledQuery, steps: Tuple[ResidualStep, ...], trie: TriePath
+        self,
+        compiled: CompiledQuery,
+        plan: ResidualPlan,
+        predicate: Optional[Predicate],
+        trie: TriePath,
     ) -> None:
         self.compiled = compiled
-        self.steps = steps
+        self.plan = plan
+        self.steps = plan.steps
+        self.predicate = predicate
+        self.output = plan.output
         self.trie = trie
         self.subscribers: List["Subscription"] = []
         self.collector = MemberCollector()
@@ -285,6 +316,87 @@ class ResidualGroup:
         return self.compiled.tree.source
 
 
+#: A family atom compiled for evaluation: ``(key, numeric, compare, right)``
+#: where ``key`` names the kept values (``"@name"`` for an attribute, the
+#: tag for a child), ``compare`` is an :mod:`operator` function (``None``
+#: for an existence test) and ``numeric`` says whether it compares
+#: :func:`~repro.xpath.ast.xpath_number` of each value (XPath 1.0 §3.4).
+_CompiledAtom = Tuple[str, bool, Optional[Callable[[Any, Any], bool]], Any]
+
+_COMPARE = {
+    ComparisonOp.EQ: operator.eq,
+    ComparisonOp.NEQ: operator.ne,
+    ComparisonOp.LT: operator.lt,
+    ComparisonOp.LTE: operator.le,
+    ComparisonOp.GT: operator.gt,
+    ComparisonOp.GTE: operator.ge,
+}
+
+
+def _compile_atom(atom: PredicateAtom) -> _CompiledAtom:
+    """The evaluation form of one atom, with :meth:`ValueTest.evaluate`'s
+    semantics: numbers against a numeric literal or under a relational
+    operator, strings for ``=`` / ``!=`` against a string literal."""
+    kind, label, test = atom
+    key = "@" + label if kind == "@" else label
+    if test is None:
+        return key, False, None, None
+    compare = _COMPARE[test.op]
+    if test.is_numeric:
+        return key, True, compare, test.value
+    if test.op is ComparisonOp.EQ or test.op is ComparisonOp.NEQ:
+        return key, False, compare, test.value
+    return key, True, compare, xpath_number(test.value)
+
+
+def _atom_holds(
+    atom: _CompiledAtom, kept: Dict[str, List[Solution]], numbers: Dict[str, List[float]]
+) -> bool:
+    """One atom over an emission's kept values; each value's
+    :func:`~repro.xpath.ast.xpath_number` is taken at most once (``numbers``)."""
+    key, numeric, compare, right = atom
+    found = kept.get(key)
+    if not found:
+        return False
+    if compare is None:
+        return True
+    if numeric:
+        values = numbers.get(key)
+        if values is None:
+            values = numbers[key] = [xpath_number(solution.value) for solution in found]
+        for value in values:
+            if compare(value, right):
+                return True
+        return False
+    for solution in found:
+        if compare(solution.value, right):
+            return True
+    return False
+
+
+def _holds(predicate, truth: Dict[int, bool], atoms, kept, numbers) -> bool:
+    """Evaluate a family predicate; each atom once per emission (``truth``)."""
+    if predicate.__class__ is int:
+        value = truth.get(predicate)
+        if value is None:
+            value = truth[predicate] = _atom_holds(atoms[predicate], kept, numbers)
+        return value
+    if predicate is True:
+        return True
+    op, operands = predicate
+    if op == "and":
+        for operand in operands:
+            if not _holds(operand, truth, atoms, kept, numbers):
+                return False
+        return True
+    if op == "or":
+        for operand in operands:
+            if _holds(operand, truth, atoms, kept, numbers):
+                return True
+        return False
+    return not _holds(operands[0], truth, atoms, kept, numbers)
+
+
 class FamilyRuntime(_Runtime):
     """One anchor machine serving a containment-shared refinement family.
 
@@ -294,13 +406,27 @@ class FamilyRuntime(_Runtime):
     time against the index's live ancestor chain.  Residual verdicts are
     memoized per distinct chain.
 
+    A *capturing* family — one with a member that carries an anchor
+    predicate or selects an attribute or child of the anchor — has an
+    anchor machine built by :func:`~repro.core.builder.build_anchor_machine`
+    with one capture child per child label its members name
+    (:attr:`captures`; a child's string value only where a member tests
+    it) and, when a member needs them, the start tag's
+    attributes (:attr:`attributes`).  Each emission batch then carries the
+    anchor's kept attributes and captured children ahead of the anchor
+    element itself; :meth:`resolve` evaluates each distinct predicate atom
+    at most once per emission (and ``xpath_number`` at most once per kept
+    value) and builds each member's solutions: the anchor, its attribute,
+    or its captured children in document order.  A family without members
+    of that kind keeps the plain linear ``resolve`` / ``deliver``.
+
     Emission-time resolution is decoupled from delivery because the fused
     pure scan buffers deliveries until after the scan, when the chain is
-    gone: :meth:`resolve` stamps each emission batch (matched groups +
-    collector updates) into a FIFO while the chain is live, and
-    :meth:`deliver` drains one stamped batch per call.  Drivers that deliver
-    immediately never call :meth:`resolve`; :meth:`deliver` resolves lazily
-    from the still-live chain.
+    gone: :meth:`resolve` stamps each emission batch (matched groups and
+    their solutions, collector updates) into a FIFO while the chain is live,
+    and :meth:`deliver` drains one stamped batch per call.  Drivers that
+    deliver immediately never call :meth:`resolve`; :meth:`deliver` resolves
+    lazily from the still-live chain.
     """
 
     is_family = True
@@ -309,9 +435,15 @@ class FamilyRuntime(_Runtime):
         "anchor_label",
         "groups",
         "group_list",
+        "captures",
+        "attributes",
+        "_atom_index",
+        "_compiled_atoms",
         "_context",
         "_pending",
         "_match_cache",
+        "resolve",
+        "deliver",
     )
 
     def __init__(
@@ -320,14 +452,29 @@ class FamilyRuntime(_Runtime):
         anchor_label: str,
         context: List[str],
         collect_statistics: bool,
+        captures: Optional[Dict[str, bool]] = None,
+        attributes: bool = False,
     ) -> None:
         self.anchor_label = anchor_label
         self.groups: Dict[str, ResidualGroup] = {}
         self.group_list: List[ResidualGroup] = []
+        #: Child label the anchor machine captures -> whether it collects
+        #: the child's string value; in label order.
+        self.captures: Dict[str, bool] = {}
+        #: True when the anchor machine keeps its start tag's attributes.
+        self.attributes = False
+        #: Distinct predicate atoms across the members -> their index.
+        self._atom_index: Dict[PredicateAtom, int] = {}
+        self._compiled_atoms: List[_CompiledAtom] = []
         self._context = context
         self._pending: deque = deque()
         self._match_cache: Dict[Tuple[str, ...], List[ResidualGroup]] = {}
+        #: :meth:`resolve` / :meth:`deliver`: the linear forms until the
+        #: family captures anything (:meth:`widen`).
+        self.resolve = self._resolve_linear
+        self.deliver = self._deliver_linear
         super().__init__(compiled, collect_statistics)
+        self.widen(captures or {}, attributes)
 
     @property
     def subscribers(self) -> List["Subscription"]:
@@ -338,23 +485,78 @@ class FamilyRuntime(_Runtime):
             for subscription in group.subscribers
         ]
 
+    @property
+    def atoms(self) -> List[PredicateAtom]:
+        """Distinct predicate atoms across the members, in first-use order."""
+        return list(self._atom_index)
+
+    @property
+    def capturing(self) -> bool:
+        """True when emissions carry kept attributes or captured children."""
+        return bool(self.captures) or self.attributes
+
     # ------------------------------------------------------------ membership
 
+    def widen(self, captures: Dict[str, bool], attributes: bool) -> bool:
+        """Make the anchor machine capture ``captures`` (child label ->
+        whether its string value is needed) and, with ``attributes``, keep
+        its attributes; True when the machine was rebuilt (the caller
+        re-indexes its labels).  Only a machine at rest can be rebuilt:
+        families are joined at the start of the stream."""
+        merged = dict(self.captures)
+        for label, valued in captures.items():
+            merged[label] = merged.get(label, False) or valued
+        wanted = dict(sorted(merged.items()))
+        keep = self.attributes or attributes
+        if wanted == self.captures and keep == self.attributes:
+            return False
+        if not self.machine.stacks_empty():
+            raise StreamStateError("a family anchor can only widen at rest")
+        self.captures = wanted
+        self.attributes = keep
+        self.machine = build_anchor_machine(
+            self.anchor_label, tuple(wanted.items()), keep
+        )
+        self.labels, self.wildcard = machine_label_profile(self.machine)
+        self.needs_text = bool(self.machine.text_nodes)
+        self.resolve = self._resolve_captured
+        self.deliver = self._deliver_captured
+        return True
+
     def add_group(
-        self, compiled: CompiledQuery, steps: Tuple[ResidualStep, ...], trie: TriePath
+        self, compiled: CompiledQuery, plan: ResidualPlan, trie: TriePath
     ) -> ResidualGroup:
-        """Create (and register) the group for a new member query shape."""
-        group = ResidualGroup(compiled, steps, trie)
+        """Create (and register) the group for a new member query shape;
+        the caller widens the anchor to the plan's captures first."""
+        group = ResidualGroup(compiled, plan, self._predicate(plan), trie)
         self.groups[compiled.fingerprint] = group
         self.group_list.append(group)
         self._match_cache.clear()
         return group
 
+    def _predicate(self, plan: ResidualPlan) -> Optional[Predicate]:
+        """``plan``'s predicate over the family's atom table, which gains
+        the plan's new atoms."""
+        if plan.predicate is None:
+            return None
+        index = []
+        for atom in plan.atoms:
+            position = self._atom_index.get(atom)
+            if position is None:
+                position = self._atom_index[atom] = len(self._compiled_atoms)
+                self._compiled_atoms.append(_compile_atom(atom))
+            index.append(position)
+        return _reindex(plan.predicate, index)
+
     def remove_group(self, group: ResidualGroup) -> None:
-        """Drop an empty member group."""
+        """Drop an empty member group (and the atoms only it used)."""
         del self.groups[group.fingerprint]
         self.group_list.remove(group)
         self._match_cache.clear()
+        if group.predicate is not None:
+            self._atom_index, self._compiled_atoms = {}, []
+            for member in self.group_list:
+                member.predicate = self._predicate(member.plan)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -368,7 +570,7 @@ class FamilyRuntime(_Runtime):
 
     # ------------------------------------------------------------ emission
 
-    def resolve(self, solutions: List[Solution]) -> None:
+    def _resolve_linear(self, solutions: List[Solution]) -> None:
         """Stamp one emission batch while the ancestor chain is live.
 
         Evaluates each member group's residual path against the chain of
@@ -394,7 +596,7 @@ class FamilyRuntime(_Runtime):
                     add(solution)
         self._pending.append(matched)
 
-    def deliver(self, solutions: List[Solution], emitted=None) -> None:
+    def _deliver_linear(self, solutions: List[Solution], emitted=None) -> None:
         """Fan one emission batch out to the matched groups' subscribers.
 
         Each call pairs with the oldest stamped batch (drivers buffer and
@@ -405,6 +607,104 @@ class FamilyRuntime(_Runtime):
         if not self._pending:
             self.resolve(solutions)
         _fan_out(self._pending.popleft(), solutions, emitted)
+
+    def _resolve_captured(self, solutions: List[Solution]) -> None:
+        """:meth:`_resolve_linear` for a capturing family: the batch is the
+        anchor's kept attributes and captured children, then the anchor;
+        each matched group's predicate decides, and its output is built
+        from the batch.  Queues ``(group, solutions)`` pairs."""
+        chain = tuple(self._context)
+        matched = self._match_cache.get(chain)
+        if matched is None:
+            matched = [
+                group
+                for group in self.group_list
+                if path_matches(group.steps, chain)
+            ]
+            self._match_cache[chain] = matched
+        answered: List[Tuple[ResidualGroup, List[Solution]]] = []
+        if matched:
+            anchor = solutions[-1]
+            kept: Dict[str, List[Solution]] = {}
+            for solution in solutions[:-1]:
+                key = (
+                    "@" + solution.attribute
+                    if solution.kind is _ATTRIBUTE
+                    else solution.node.tag
+                )
+                found = kept.get(key)
+                if found is None:
+                    kept[key] = [solution]
+                else:
+                    found.append(solution)
+            atoms = self._compiled_atoms
+            numbers: Dict[str, List[float]] = {}
+            truth: Dict[int, bool] = {}
+            outputs: Dict[Optional[Tuple[str, str]], List[Solution]] = {}
+            for group in matched:
+                predicate = group.predicate
+                if predicate is not None:
+                    if predicate.__class__ is int:  # one atom: the common case
+                        holds = truth.get(predicate)
+                        if holds is None:
+                            holds = truth[predicate] = _atom_holds(
+                                atoms[predicate], kept, numbers
+                            )
+                    else:
+                        holds = _holds(predicate, truth, atoms, kept, numbers)
+                    if not holds:
+                        continue
+                output = group.output
+                selected = outputs.get(output)
+                if selected is None:
+                    selected = outputs[output] = _select(output, anchor, solutions, kept)
+                if selected:
+                    add = group.collector.add
+                    for solution in selected:
+                        add(solution)
+                    answered.append((group, selected))
+        self._pending.append(answered)
+
+    def _deliver_captured(self, solutions: List[Solution], emitted=None) -> None:
+        """:meth:`_deliver_linear` for a capturing family: each answered
+        group gets its own solutions."""
+        if not self._pending:
+            self.resolve(solutions)
+        for group, selected in self._pending.popleft():
+            _fan_out((group,), selected, emitted)
+
+
+_ATTRIBUTE = SolutionKind.ATTRIBUTE
+
+
+def _select(
+    output: Optional[Tuple[str, str]],
+    anchor: Solution,
+    solutions: List[Solution],
+    kept: Dict[str, List[Solution]],
+) -> List[Solution]:
+    """A capturing family member's solutions for one emitted anchor."""
+    if output is None:
+        return [anchor]
+    kind, label = output
+    if kind == "@":
+        if label == "*":
+            return [solution for solution in solutions if solution.kind is _ATTRIBUTE]
+        return kept.get("@" + label, [])
+    return [
+        Solution(kind=SolutionKind.ELEMENT, node=solution.node)
+        for solution in kept.get(label, ())
+    ]
+
+
+def _reindex(predicate: Predicate, index: List[int]) -> Predicate:
+    """A plan predicate over the family's atom table."""
+    if predicate.__class__ is int:
+        return index[predicate]
+    if predicate is True:
+        return True
+    op, operands = predicate
+    return op, tuple(_reindex(operand, index) for operand in operands)
 
 
 class InterestSets(dict):
@@ -508,6 +808,19 @@ class QueryIndex:
             node = child
         node.refs += 1
 
+    def relabel(self, runtime: _Runtime, labels: FrozenSet[str]) -> None:
+        """Re-index ``runtime`` after its machine grew from ``labels`` to
+        ``runtime.labels`` (a widened family anchor), keeping its place in
+        registration order."""
+        if not runtime.wildcard:
+            by_label = self._by_label
+            for label in runtime.labels - labels:
+                bucket = by_label.setdefault(label, [])
+                bucket.append(runtime)
+                bucket.sort(key=attrgetter("seq"))
+        self._dispatch_cache.clear()
+        self._text_runtimes = None
+
     def remove_path(self, path: TriePath) -> None:
         """Release one registration path, pruning now-unused trie nodes."""
         node = self._trie_root
@@ -580,11 +893,25 @@ class QueryIndex:
             names = ", ".join(sub.name for sub in runtime.subscribers)
             labels = "*" if runtime.wildcard else ",".join(sorted(runtime.labels))
             if runtime.is_family:
+                captures = ", ".join(
+                    label + ("" if valued else " (bare)")
+                    for label, valued in runtime.captures.items()
+                )
+                kept = (
+                    f" capturing [{captures}{'; @*' if runtime.attributes else ''}]"
+                    if runtime.capturing else ""
+                )
                 lines.append(
                     f"  family {runtime.compiled.tree.source!r} "
-                    f"({len(runtime.group_list)} shape(s)) -> [{labels}] "
+                    f"({len(runtime.group_list)} shape(s)){kept} -> [{labels}] "
                     f"subscribers: {names or '-'}"
                 )
+                for group in runtime.group_list:
+                    members = ", ".join(sub.name for sub in group.subscribers)
+                    lines.append(
+                        f"    member {group.source!r}: {group.plan.describe()}; "
+                        f"subscribers: {members or '-'}"
+                    )
             else:
                 lines.append(
                     f"  {runtime.compiled.tree.source!r} -> [{labels}] "

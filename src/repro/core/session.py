@@ -290,7 +290,7 @@ class StreamSession:
         self._aborted_elements = self.element_count
         self._failed = True
         self._finished = True
-        self._engine._kernel.reset()
+        self._engine._rewind()
 
     def _feed_fused(self, chunk: Union[str, bytes]) -> List[Match]:
         spool = self._spool

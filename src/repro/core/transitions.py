@@ -279,12 +279,29 @@ def process_end_element(
             parent_level = level - 1
             targets = [t for t in parent_entries if t.level == parent_level]
         if machine_node.is_predicate_branch:
-            node_id = machine_node.query_node.node_id
-            for target in targets:
-                if node_id not in target.satisfied:
-                    target.satisfied.add(node_id)
-                    if statistics is not None:
-                        statistics.flags_set += 1
+            if machine_node.is_capture:
+                # A family anchor's capture child: the parent entries keep
+                # the element and its string value (when collected), as a
+                # text candidate, for the family's check at emission.
+                parts = entry.string_parts
+                capture = Solution(
+                    kind=SolutionKind.TEXT,
+                    node=entry.element,
+                    value=None if parts is None else "".join(parts),
+                )
+                key = capture.key()
+                for target in targets:
+                    target.candidates[key] = capture
+                if statistics is not None:
+                    statistics.candidates_created += 1
+                    statistics.live_candidates += len(targets)
+            else:
+                node_id = machine_node.query_node.node_id
+                for target in targets:
+                    if node_id not in target.satisfied:
+                        target.satisfied.add(node_id)
+                        if statistics is not None:
+                            statistics.flags_set += 1
         else:
             for target in targets:
                 added = target.absorb_candidates(entry)

@@ -13,8 +13,12 @@ Normalization rules:
 * Each predicate ``[expr]`` on a step is compiled into a boolean formula over
   atoms.  Existence tests and comparisons introduce *predicate children*
   (element or attribute query nodes); a comparison's value test is attached
-  to the final node of its relative path.  ``.``/``text()`` comparisons attach
-  a :class:`~repro.xpath.ast.SelfTextAtom` to the step's own node.
+  to the final node of its relative path.  ``.`` comparisons attach a
+  :class:`~repro.xpath.ast.SelfTextAtom` to the step's own node, and so does
+  ``[.//text()]``, compiled as its exact meaning ``[. != '']``.  ``[text()]``
+  and comparisons against ``text()`` / ``.//text()`` raise
+  :class:`~repro.errors.UnsupportedFeatureError`: they need each direct text
+  child on its own, which no stack entry keeps.
 * Multiple predicates on the same step are conjoined.
 """
 
@@ -28,6 +32,7 @@ from .ast import (
     Axis,
     ChildAtom,
     Comparison,
+    ComparisonOp,
     Exists,
     Formula,
     FormulaAnd,
@@ -178,10 +183,16 @@ class _Normalizer:
                 return FormulaTrue()
             return SelfTextAtom(test=value_test)
         if len(steps) == 1 and isinstance(steps[0].test, TextTest):
-            # [text() = 'x'] — treat as a test on the node's own string value.
-            if value_test is None:
-                return FormulaTrue()
-            return SelfTextAtom(test=value_test)
+            # [.//text()] is exactly [. != '']: text nodes are never empty,
+            # so one exists below the node iff its string value is not.
+            # [text()] and comparisons against text nodes need the direct
+            # text children one by one, which no entry keeps.
+            if value_test is None and steps[0].axis is Axis.DESCENDANT:
+                return SelfTextAtom(test=ValueTest(op=ComparisonOp.NEQ, value=""))
+            raise UnsupportedFeatureError(
+                f"{PathExpr(tuple(steps))} inside a predicate is not supported "
+                "(use [.//text()] or a test on the string value '.')"
+            )
         # Build a chain of predicate nodes under the owner.
         first_child = self._build_predicate_chain(owner, steps, value_test)
         owner.predicate_children.append(first_child)

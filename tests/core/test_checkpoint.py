@@ -319,12 +319,22 @@ class TestOlderSnapshots:
     @pytest.mark.parametrize("parser", PARSERS)
     def test_sharing_payload_is_byte_identical_to_1_4_opt_in(self, parser):
         data = (FIXTURES / f"sharing_1_4_{parser}.snapshot.json").read_bytes()
+        # ``//a/@id`` now rides an ``a`` family (an attribute of the anchor);
+        # without it the query set has no member of the widened fragment
+        # and today's payload is 1.4's, byte for byte.
+        expected = loads_snapshot(data)
+        engine_payload = expected["engine"]
+        attr = next(s for s in engine_payload["subscriptions"] if s["name"] == "attr")
+        assert attr["runtime"] == len(engine_payload["runtimes"]) - 1
+        engine_payload["subscriptions"].remove(attr)
+        engine_payload["runtimes"].pop()
         with MultiQueryEvaluator() as engine:
             for name, query in FIXTURE_QUERIES:
-                engine.subscribe(query, name=name)
+                if name != "attr":
+                    engine.subscribe(query, name=name)
             session = engine.session(parser=parser)
             session.feed_text(FIXTURE_DOC[:FIXTURE_SPLIT])
-            assert dumps_snapshot(session.snapshot()) == data
+            assert dumps_snapshot(session.snapshot()) == dumps_snapshot(expected)
         with MultiQueryEvaluator() as engine:
             session = engine.restore_session(loads_snapshot(data))
             session.feed_text(FIXTURE_DOC[FIXTURE_SPLIT:])

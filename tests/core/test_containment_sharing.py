@@ -101,11 +101,13 @@ class TestSharingStructure:
         with MultiQueryEvaluator() as evaluator:
             evaluator.subscribe("//a//c", name="fam")
             evaluator.subscribe("//a[x]//c", name="pred")
+            evaluator.subscribe("//a//c/text()", name="text")
+            # An attribute of the anchor rides the family.
             evaluator.subscribe("//a//c/@id", name="attr")
             stats = evaluator.stats()
             assert stats.machines == 3  # one anchor + two private
             assert stats.families == 1
-            assert stats.containment_shared == 1
+            assert stats.containment_shared == 2
 
     def test_identical_members_pool_into_one_group(self):
         with MultiQueryEvaluator() as evaluator:

@@ -29,7 +29,9 @@ from repro.core.multi import MultiQueryEvaluator
 from repro.xmlstream.expat_backend import ExpatEventSource
 from repro.xmlstream.tokenizer import StreamTokenizer
 
-QUERY = "//entry[reference]/@id"
+#: Outside the containment-sharing fragment (a descendant predicate path),
+#: so a shared engine gives it a machine of its own too.
+QUERY = "//entry[.//reference]/@id"
 DOCUMENT = (
     "<db>"
     + "".join(

@@ -70,6 +70,25 @@ class TestExplainCommand:
         assert "section" in captured.out
         assert "output" in captured.out
 
+    @pytest.mark.parametrize(
+        "query, sharing",
+        [
+            (
+                "/ticker/quote[price>495]/vol",
+                "Sharing: anchor //quote, residual /ticker/quote, "
+                "predicate [price > 495], output child vol",
+            ),
+            (
+                "//a[b]//c",
+                "Sharing: private (the output is a descendant, not a child, "
+                "of the predicated step)",
+            ),
+        ],
+    )
+    def test_explain_shows_sharing(self, capsys, query, sharing):
+        assert main(["explain", query]) == 0
+        assert sharing in capsys.readouterr().out.splitlines()
+
 
 class TestGenerateCommand:
     @pytest.mark.parametrize("dataset", ["protein", "recursive", "auction", "newsfeed", "treebank"])

@@ -52,8 +52,8 @@ def run(coroutine):
     return asyncio.run(asyncio.wait_for(coroutine, timeout=120))
 
 
-async def _collect_pushes(server, documents):
-    """Drive one subscriber (all QUERIES) + publisher; return stripped pushes.
+async def _collect_pushes(server, documents, queries=QUERIES):
+    """Drive one subscriber (all ``queries``) + publisher; return stripped pushes.
 
     Each document is fed in two chunks; collection stops at its ``eof``.
     Returns the flat list of push frames in arrival order with the
@@ -64,7 +64,7 @@ async def _collect_pushes(server, documents):
     publisher = await ServiceConnection.connect(host, port)
     pushes = []
     try:
-        for index, query in enumerate(QUERIES):
+        for index, query in enumerate(queries):
             await subscriber.subscribe(query, name=f"q{index}")
         for document in documents:
             half = len(document) // 2
@@ -173,6 +173,52 @@ class TestRoutingPolicy:
             finally:
                 await client.close()
                 await server.close()
+
+        run(scenario())
+
+    def test_predicated_members_land_on_their_anchor_worker(self):
+        """Routing keys on the plan's anchor: the ticker queries, predicated
+        or not, run as four family anchors across two workers and deliver
+        per subscription what the single-process server delivers."""
+        queries = [
+            "//alert[price]", "/ticker/alert//vol", "//alert/price", "//alert/@s",
+            "/ticker/alert", "//alert[vol]/price", "//ticker//alert/vol",
+            "//alert[price>250]/vol", "//quote[price>490]", "//quote[price>490]/@s",
+            "//quote[vol>99000]/price", "/ticker/quote[price>495]/vol",
+            "//quote[@s='S007']", "//quote[@s='S042']/price",
+            "//ticker/quote[vol>99500]", "//quote[price>498]/price",
+        ]
+        documents = [
+            "<ticker>" + "".join(
+                f'<{"alert" if n % 5 == 4 else "quote"} s="S{(n * 7 + d) % 50:03d}">'
+                f"<price>{(n * 37 + d * 11) % 600}.5</price>"
+                f"<vol>{(n * 7919 + d) % 100_000}</vol>"
+                f'</{"alert" if n % 5 == 4 else "quote"}>'
+                for n in range(60)
+            ) + "</ticker>"
+            for d in range(3)
+        ]
+
+        async def scenario():
+            plain = ServiceServer(parser="native")
+            await plain.start(port=0)
+            expected = _by_subscription(await _collect_pushes(plain, documents, queries))
+
+            sharded = ShardedServiceServer(workers=2, parser="native")
+            await sharded.start(port=0)
+            host, port = sharded.address
+            client = await ServiceConnection.connect(host, port)
+            try:
+                for index, query in enumerate(queries):
+                    await client.subscribe(query, name=f"q{index}")
+                stats = await client.stats()
+                assert stats["machine_count"] == 4
+                await client.close()
+                actual = _by_subscription(await _collect_pushes(sharded, documents, queries))
+            finally:
+                await client.close()
+            assert actual == expected
+            assert len(expected) > 10
 
         run(scenario())
 

@@ -9,6 +9,7 @@ from repro.xpath.containment import (
     path_matches,
     query_contains,
     residual_plan,
+    sharing_refusal,
 )
 from repro.xpath.normalize import compile_query
 
@@ -59,14 +60,46 @@ class TestResidualPlan:
     @pytest.mark.parametrize(
         "query",
         [
-            "//a[b]//c",  # predicate on the path
-            "//a//c/@id",  # attribute output
+            "//a[b]//c",  # output is a descendant of the predicated step
+            "//a[b]/c/d",  # output two steps below the predicated step
+            "//a[b]/c[d]",  # two predicated steps
+            "//*[b]",  # predicate on a wildcard
+            "//a[b/c]",  # predicate path longer than one step
+            "//a[.//b]",  # predicate path on the descendant axis
+            "//a[.='x']",  # test on the step's own string value
             "//a//c/text()",  # text output
-            "//a[x='1']//c",  # value test in a predicate
+            "//a[x='1']//c",  # value test in a predicate, descendant output
         ],
     )
     def test_ineligible_queries_fall_back(self, query):
         assert residual_plan(query) is None
+        assert sharing_refusal(query)
+
+    def test_attribute_output_anchors_on_its_element(self):
+        plan = residual_plan("//a//c/@id")
+        assert plan is not None
+        assert plan.anchor_source == "//c"
+        assert plan.steps == (("a", True), ("c", True))
+        assert plan.output == ("@", "id")
+        assert plan.attributes and not plan.captures
+
+    def test_predicated_step_is_the_anchor(self):
+        plan = residual_plan("/t/q[p>490 and not(@s='x')]/v")
+        assert plan is not None
+        assert plan.anchor_source == "//q"
+        assert plan.steps == (("t", False), ("q", False))
+        assert plan.output == ("/", "v")
+        assert plan.captures == {"p": True, "v": False}
+        assert plan.attributes
+        assert plan.describe() == (
+            "anchor //q, residual /t/q, predicate [p > 490 and not(@s = 'x')], "
+            "output child v"
+        )
+
+    def test_repeated_atoms_are_one(self):
+        plan = residual_plan("//q[p > 1 or p > 1][p]")
+        assert plan is not None
+        assert len(plan.atoms) == 2
 
     def test_accepts_precompiled_trees(self):
         plan = residual_plan(compile_query("//r//s/v"))
@@ -133,7 +166,7 @@ class TestQueryContains:
             ("/a//c", "//a//c"),  # rooted general, unrooted specific
             ("//a//c", "//c"),  # general longer than specific
             ("//a[b]//c", "//a/b//c"),  # predicates on the general side
-            ("//a//c/@id", "//a/b//c/@id"),  # attribute output unsupported
+            ("//a//c/@id", "//a/b//c/@id"),  # attribute output unsupported here
         ],
     )
     def test_unprovable_cases_return_false(self, general, specific):

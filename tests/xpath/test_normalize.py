@@ -16,6 +16,7 @@ from repro.xpath.ast import (
     evaluate_formula,
     formula_atoms,
 )
+from repro.errors import UnsupportedFeatureError
 from repro.xpath.normalize import compile_query, query_to_string
 
 
@@ -144,8 +145,16 @@ class TestPredicateCompilation:
         assert not tree.root.predicate_children
 
     def test_text_function_comparison_is_self_atom(self):
-        tree = compile_query("//a[text()='x']")
+        # [.//text()] is exactly [. != ''] (text nodes are never empty);
+        # [text()] and comparisons against text nodes are refused rather
+        # than read as string-value tests.
+        tree = compile_query("//a[.//text()]")
         assert isinstance(tree.root.formula, SelfTextAtom)
+        assert tree.root.formula.test.evaluate("x")
+        assert not tree.root.formula.test.evaluate("")
+        for refused in ("//a[text()]", "//a[text()='x']", "//a[.//text()='x']"):
+            with pytest.raises(UnsupportedFeatureError):
+                compile_query(refused)
 
     def test_no_predicates_yields_true_formula(self):
         tree = compile_query("//a/b")

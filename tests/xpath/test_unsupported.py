@@ -25,6 +25,9 @@ UNSUPPORTED_EXPRESSIONS = [
     "//a/..",                     # parent step (lexes as two dots)
     "//a[/b]",                    # absolute path inside a predicate
     "//a/text()[b]",              # predicate on text()
+    "//a[text()]",                # direct text-node test
+    "//a[text()='v']",            # comparison against one text node
+    "//a[.//text()='v']",         # comparison against descendant text nodes
     ".//a",                       # '.' step outside a predicate
 ]
 
@@ -75,7 +78,7 @@ class TestSupportedCornerFeatures:
             "//a[.//b/c]",
             "//a[b='x' and @id!='2' or not(c)]",
             "//a[.='v']",
-            "//a[text()='v']",
+            "//a[.//text()]",
             "//a[b>1.5][c<=2]",
             "//section[author]//table[position]//cell",
             "//ProteinEntry[reference]/@id",
