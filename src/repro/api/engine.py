@@ -11,8 +11,9 @@ verb set:
   query the sharing planner accepts rides a containment family here,
   which ``repro.evaluate`` never does: the protein query
   (``//ProteinEntry[reference]/@id``, predicated at its anchor) costs
-  1.11× the process CPU of a machine of its own (3 MB, pure, best of
-  three), and a predicate-free path up to 2.1×;
+  1.06–1.18× the process CPU of a machine of its own (3 MB, pure, best
+  of 15 alternating runs, two trials), and a predicate-free path up to
+  2.1×;
 * ``MultiQueryEvaluator`` (indexed subscriptions) — :class:`Engine` wraps
   one (see :attr:`Engine.core`) and inherits its sharing machinery: shared
   compilation, shared machines, containment families, label dispatch.

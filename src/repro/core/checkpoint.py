@@ -315,6 +315,9 @@ def restore_engine_into(engine, state: Dict[str, Any]) -> None:
                     engine._by_fingerprint[compiled.fingerprint] = runtime
                 continue
             engine._families[anchor_label] = runtime
+            # The payload's captures may outlast the members that needed
+            # them; the next rewind narrows the anchor to what remains.
+            runtime.loose = runtime.capturing
             for group_item in item.get("groups", ()):
                 group_compiled = shared_compiled_cache.acquire(group_item["source"])
                 plan = shared_planner.plan(group_compiled)

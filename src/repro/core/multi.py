@@ -389,7 +389,7 @@ class MultiQueryEvaluator:
         group = family.groups.get(compiled.fingerprint)
         if group is None:
             labels = family.labels
-            if family.widen(plan.captures, plan.attributes):
+            if family.widen(plan):
                 self._index.relabel(family, labels)
             group = family.add_group(compiled, plan, trie_path(compiled.tree))
             self._index.add_path(group.trie)
@@ -404,7 +404,10 @@ class MultiQueryEvaluator:
         self._rehome()
 
     def _rehome(self) -> None:
-        """:meth:`_rewind`'s second half, for a position already at rest."""
+        """:meth:`_rewind`'s second half, for a position already at rest;
+        it also narrows each family whose capturing members left."""
+        for family in self._families.values():
+            self._narrow(family)
         joined_late, self._joined_late = self._joined_late, []
         for subscription in joined_late:
             runtime = subscription.runtime
@@ -428,6 +431,13 @@ class MultiQueryEvaluator:
             else:
                 subscription.runtime, subscription.group = self._join_family(plan, compiled)
                 subscription.group.subscribers.append(subscription)
+
+    def _narrow(self, family: FamilyRuntime) -> None:
+        """Rebuild ``family``'s anchor, at rest, without the captures no
+        remaining member needs (:meth:`FamilyRuntime.narrow`)."""
+        labels = family.labels
+        if family.narrow():
+            self._index.relabel(family, labels)
 
     def subscribe_many(
         self,
@@ -486,6 +496,9 @@ class MultiQueryEvaluator:
                     self._index.remove(runtime)
                     del self._families[runtime.anchor_label]
                     shared_compiled_cache.release(runtime.compiled)
+                elif not self._started:
+                    # At rest: narrow now; mid-document, at the next rewind.
+                    self._narrow(runtime)
             shared_compiled_cache.release(group.compiled)
             return subscription
         runtime.subscribers.remove(subscription)

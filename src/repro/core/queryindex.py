@@ -50,17 +50,17 @@ index describe only the events actually dispatched to that machine — see
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from operator import attrgetter
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import StreamStateError
-from ..xpath.ast import Axis, ComparisonOp, NodeKind, QueryTree, xpath_number
+from ..xpath.ast import Axis, NodeKind, QueryTree, xpath_number
 from ..xpath.containment import Predicate, PredicateAtom, ResidualPlan, path_matches
 from .builder import CompiledQuery, build_anchor_machine
 from .machine import TwigMachine
 from .results import (
+    EmissionCounter,
     MemberCollector,
     Match,
     ResultCollector,
@@ -316,50 +316,34 @@ class ResidualGroup:
         return self.compiled.tree.source
 
 
-#: A family atom compiled for evaluation: ``(key, numeric, compare, right)``
-#: where ``key`` names the kept values (``"@name"`` for an attribute, the
-#: tag for a child), ``compare`` is an :mod:`operator` function (``None``
-#: for an existence test) and ``numeric`` says whether it compares
-#: :func:`~repro.xpath.ast.xpath_number` of each value (XPath 1.0 §3.4).
-_CompiledAtom = Tuple[str, bool, Optional[Callable[[Any, Any], bool]], Any]
-
-_COMPARE = {
-    ComparisonOp.EQ: operator.eq,
-    ComparisonOp.NEQ: operator.ne,
-    ComparisonOp.LT: operator.lt,
-    ComparisonOp.LTE: operator.le,
-    ComparisonOp.GT: operator.gt,
-    ComparisonOp.GTE: operator.ge,
-}
+#: A family atom ready for evaluation: ``(key, comparison)`` where ``key``
+#: names the kept values (``"@name"`` for an attribute, the tag for a
+#: child) and ``comparison`` is the value test's
+#: :attr:`~repro.xpath.ast.ValueTest.comparison` (``None`` for an
+#: existence test).
+_FamilyAtom = Tuple[str, Optional[Tuple[bool, Callable[[Any, Any], bool], Any]]]
 
 
-def _compile_atom(atom: PredicateAtom) -> _CompiledAtom:
-    """The evaluation form of one atom, with :meth:`ValueTest.evaluate`'s
-    semantics: numbers against a numeric literal or under a relational
-    operator, strings for ``=`` / ``!=`` against a string literal."""
+def _family_atom(atom: PredicateAtom) -> _FamilyAtom:
+    """The evaluation form of one plan atom."""
     kind, label, test = atom
-    key = "@" + label if kind == "@" else label
-    if test is None:
-        return key, False, None, None
-    compare = _COMPARE[test.op]
-    if test.is_numeric:
-        return key, True, compare, test.value
-    if test.op is ComparisonOp.EQ or test.op is ComparisonOp.NEQ:
-        return key, False, compare, test.value
-    return key, True, compare, xpath_number(test.value)
+    return ("@" + label if kind == "@" else label), (
+        None if test is None else test.comparison
+    )
 
 
 def _atom_holds(
-    atom: _CompiledAtom, kept: Dict[str, List[Solution]], numbers: Dict[str, List[float]]
+    atom: _FamilyAtom, kept: Dict[str, List[Solution]], numbers: Dict[str, List[float]]
 ) -> bool:
     """One atom over an emission's kept values; each value's
     :func:`~repro.xpath.ast.xpath_number` is taken at most once (``numbers``)."""
-    key, numeric, compare, right = atom
+    key, comparison = atom
     found = kept.get(key)
     if not found:
         return False
-    if compare is None:
+    if comparison is None:
         return True
+    numeric, compare, right = comparison
     if numeric:
         values = numbers.get(key)
         if values is None:
@@ -397,6 +381,26 @@ def _holds(predicate, truth: Dict[int, bool], atoms, kept, numbers) -> bool:
     return not _holds(operands[0], truth, atoms, kept, numbers)
 
 
+#: One run of a chain's matched member groups: consecutive groups with the
+#: same predicate and output, which share one verdict and one solution list.
+_Run = Tuple[Optional[Predicate], Optional[Tuple[str, str]], Tuple[ResidualGroup, ...]]
+
+
+def _runs(groups: List[ResidualGroup]) -> List[_Run]:
+    """``groups`` (in order) as runs of equal ``(predicate, output)``."""
+    runs: List[_Run] = []
+    start = 0
+    for position in range(1, len(groups) + 1):
+        if position == len(groups) or (
+            groups[position].predicate != groups[start].predicate
+            or groups[position].output != groups[start].output
+        ):
+            first = groups[start]
+            runs.append((first.predicate, first.output, tuple(groups[start:position])))
+            start = position
+    return runs
+
+
 class FamilyRuntime(_Runtime):
     """One anchor machine serving a containment-shared refinement family.
 
@@ -404,7 +408,8 @@ class FamilyRuntime(_Runtime):
     member query's remaining constraint is a residual ancestor-path check
     (:func:`repro.xpath.containment.path_matches`) evaluated at emission
     time against the index's live ancestor chain.  Residual verdicts are
-    memoized per distinct chain.
+    memoized per distinct chain, as runs of matched groups that share a
+    predicate and an output (a family of plain paths is one run).
 
     A *capturing* family — one with a member that carries an anchor
     predicate or selects an attribute or child of the anchor — has an
@@ -416,17 +421,20 @@ class FamilyRuntime(_Runtime):
     anchor's kept attributes and captured children ahead of the anchor
     element itself; :meth:`resolve` evaluates each distinct predicate atom
     at most once per emission (and ``xpath_number`` at most once per kept
-    value) and builds each member's solutions: the anchor, its attribute,
-    or its captured children in document order.  A family without members
-    of that kind keeps the plain linear ``resolve`` / ``deliver``.
+    value) and builds each run's solutions: the anchor, its attribute, or
+    its captured children in document order.  Its anchor keeps nothing it
+    emits (an :class:`~repro.core.results.EmissionCounter`); the members
+    hold the answers.  The anchor is rebuilt only at rest: widened when a
+    member joins at the start of the stream, narrowed (:meth:`narrow`) once
+    the members that needed a capture have left.
 
     Emission-time resolution is decoupled from delivery because the fused
     pure scan buffers deliveries until after the scan, when the chain is
-    gone: :meth:`resolve` stamps each emission batch (matched groups and
-    their solutions, collector updates) into a FIFO while the chain is live,
-    and :meth:`deliver` drains one stamped batch per call.  Drivers that
-    deliver immediately never call :meth:`resolve`; :meth:`deliver` resolves
-    lazily from the still-live chain.
+    gone: :meth:`resolve` stamps each emission batch (answered runs and
+    their solutions, collector updates) into a FIFO while the chain is
+    live, and :meth:`deliver` drains one stamped batch per call.  Drivers
+    that deliver immediately never call :meth:`resolve`; :meth:`deliver`
+    resolves lazily from the still-live chain.
     """
 
     is_family = True
@@ -437,13 +445,12 @@ class FamilyRuntime(_Runtime):
         "group_list",
         "captures",
         "attributes",
+        "loose",
         "_atom_index",
-        "_compiled_atoms",
+        "_atoms",
         "_context",
         "_pending",
         "_match_cache",
-        "resolve",
-        "deliver",
     )
 
     def __init__(
@@ -463,18 +470,16 @@ class FamilyRuntime(_Runtime):
         self.captures: Dict[str, bool] = {}
         #: True when the anchor machine keeps its start tag's attributes.
         self.attributes = False
+        #: True once a member that needed a capture has left (:meth:`narrow`).
+        self.loose = False
         #: Distinct predicate atoms across the members -> their index.
         self._atom_index: Dict[PredicateAtom, int] = {}
-        self._compiled_atoms: List[_CompiledAtom] = []
+        self._atoms: List[_FamilyAtom] = []
         self._context = context
         self._pending: deque = deque()
-        self._match_cache: Dict[Tuple[str, ...], List[ResidualGroup]] = {}
-        #: :meth:`resolve` / :meth:`deliver`: the linear forms until the
-        #: family captures anything (:meth:`widen`).
-        self.resolve = self._resolve_linear
-        self.deliver = self._deliver_linear
+        self._match_cache: Dict[Tuple[str, ...], List[_Run]] = {}
         super().__init__(compiled, collect_statistics)
-        self.widen(captures or {}, attributes)
+        self._fit(captures or {}, attributes)
 
     @property
     def subscribers(self) -> List["Subscription"]:
@@ -497,31 +502,55 @@ class FamilyRuntime(_Runtime):
 
     # ------------------------------------------------------------ membership
 
-    def widen(self, captures: Dict[str, bool], attributes: bool) -> bool:
-        """Make the anchor machine capture ``captures`` (child label ->
-        whether its string value is needed) and, with ``attributes``, keep
-        its attributes; True when the machine was rebuilt (the caller
-        re-indexes its labels).  Only a machine at rest can be rebuilt:
-        families are joined at the start of the stream."""
-        merged = dict(self.captures)
-        for label, valued in captures.items():
-            merged[label] = merged.get(label, False) or valued
-        wanted = dict(sorted(merged.items()))
-        keep = self.attributes or attributes
-        if wanted == self.captures and keep == self.attributes:
+    def widen(self, plan: ResidualPlan) -> bool:
+        """Make the anchor machine capture what ``plan`` needs besides
+        what it captures already; True when the machine was rebuilt (the
+        caller re-indexes its labels).  Only a machine at rest can be
+        rebuilt: families are joined at the start of the stream."""
+        captures = dict(self.captures)
+        for label, valued in plan.captures.items():
+            captures[label] = captures.get(label, False) or valued
+        return self._fit(captures, self.attributes or plan.attributes)
+
+    def narrow(self) -> bool:
+        """Drop the captures no remaining member needs (the machine must
+        be at rest); True when the machine was rebuilt."""
+        if not self.loose:
+            return False
+        self.loose = False
+        captures: Dict[str, bool] = {}
+        attributes = False
+        for group in self.group_list:
+            for label, valued in group.plan.captures.items():
+                captures[label] = captures.get(label, False) or valued
+            attributes = attributes or group.plan.attributes
+        return self._fit(captures, attributes)
+
+    def _fit(self, captures: Dict[str, bool], attributes: bool) -> bool:
+        """Rebuild the anchor machine to capture exactly ``captures`` and
+        keep attributes iff ``attributes``; False when it already does."""
+        wanted = dict(sorted(captures.items()))
+        if wanted == self.captures and attributes == self.attributes:
             return False
         if not self.machine.stacks_empty():
-            raise StreamStateError("a family anchor can only widen at rest")
+            raise StreamStateError("a family anchor can only be rebuilt at rest")
         self.captures = wanted
-        self.attributes = keep
-        self.machine = build_anchor_machine(
-            self.anchor_label, tuple(wanted.items()), keep
+        self.attributes = attributes
+        self.machine = (
+            build_anchor_machine(self.anchor_label, tuple(wanted.items()), attributes)
+            if self.capturing
+            else self.compiled.build()
         )
         self.labels, self.wildcard = machine_label_profile(self.machine)
         self.needs_text = bool(self.machine.text_nodes)
-        self.resolve = self._resolve_captured
-        self.deliver = self._deliver_captured
+        self.collector = self._anchor_collector()
         return True
+
+    def _anchor_collector(self):
+        """A fresh collector for the anchor machine.  A family without
+        captures keeps a :class:`ResultCollector`, which snapshots have
+        always carried."""
+        return EmissionCounter() if self.capturing else ResultCollector()
 
     def add_group(
         self, compiled: CompiledQuery, plan: ResidualPlan, trie: TriePath
@@ -543,18 +572,21 @@ class FamilyRuntime(_Runtime):
         for atom in plan.atoms:
             position = self._atom_index.get(atom)
             if position is None:
-                position = self._atom_index[atom] = len(self._compiled_atoms)
-                self._compiled_atoms.append(_compile_atom(atom))
+                position = self._atom_index[atom] = len(self._atoms)
+                self._atoms.append(_family_atom(atom))
             index.append(position)
         return _reindex(plan.predicate, index)
 
     def remove_group(self, group: ResidualGroup) -> None:
-        """Drop an empty member group (and the atoms only it used)."""
+        """Drop an empty member group (and the atoms only it used); the
+        family turns :attr:`loose` when the group needed a capture."""
         del self.groups[group.fingerprint]
         self.group_list.remove(group)
         self._match_cache.clear()
+        if group.plan.captures or group.plan.attributes:
+            self.loose = True
         if group.predicate is not None:
-            self._atom_index, self._compiled_atoms = {}, []
+            self._atom_index, self._atoms = {}, []
             for member in self.group_list:
                 member.predicate = self._predicate(member.plan)
 
@@ -567,37 +599,55 @@ class FamilyRuntime(_Runtime):
             group.collector = MemberCollector()
         self._pending.clear()
         super().reset()
+        self.collector = self._anchor_collector()
 
     # ------------------------------------------------------------ emission
 
-    def _resolve_linear(self, solutions: List[Solution]) -> None:
+    def resolve(self, solutions: List[Solution]) -> None:
         """Stamp one emission batch while the ancestor chain is live.
 
-        Evaluates each member group's residual path against the chain of
-        the element being closed (memoized per distinct chain), records the
-        solutions into the matched groups' collectors — *unconditionally*,
-        so paused subscribers keep complete pull-style results, matching
-        the private-machine pause semantics — and queues the matched set
-        for the paired :meth:`deliver` call.
+        The batch is the anchor's kept attributes and captured children
+        (a capturing family only), then the anchor.  Evaluates each member
+        group's residual path against the chain of the element being
+        closed (memoized per distinct chain), then each matched run's
+        predicate, builds the run's solutions, records them into its
+        groups' collectors — *unconditionally*, so paused subscribers keep
+        complete pull-style results, matching the private-machine pause
+        semantics — and queues ``(groups, solutions)`` pairs for the paired
+        :meth:`deliver` call.
         """
         chain = tuple(self._context)
-        matched = self._match_cache.get(chain)
-        if matched is None:
-            matched = [
-                group
-                for group in self.group_list
-                if path_matches(group.steps, chain)
-            ]
-            self._match_cache[chain] = matched
-        if matched:
-            for group in matched:
+        runs = self._match_cache.get(chain)
+        if runs is None:
+            runs = self._match_cache[chain] = _runs(
+                [group for group in self.group_list if path_matches(group.steps, chain)]
+            )
+        answered: List[Tuple[Tuple[ResidualGroup, ...], List[Solution]]] = []
+        kept: Optional[Dict[str, List[Solution]]] = None
+        for predicate, output, groups in runs:
+            if predicate is None and output is None:
+                selected = solutions if len(solutions) == 1 else solutions[-1:]
+            else:
+                if kept is None:
+                    kept = _kept(solutions)
+                    numbers: Dict[str, List[float]] = {}
+                    truth: Dict[int, bool] = {}
+                if predicate is not None and not _holds(
+                    predicate, truth, self._atoms, kept, numbers
+                ):
+                    continue
+                selected = _select(output, solutions, kept)
+                if not selected:
+                    continue
+            for group in groups:
                 add = group.collector.add
-                for solution in solutions:
+                for solution in selected:
                     add(solution)
-        self._pending.append(matched)
+            answered.append((groups, selected))
+        self._pending.append(answered)
 
-    def _deliver_linear(self, solutions: List[Solution], emitted=None) -> None:
-        """Fan one emission batch out to the matched groups' subscribers.
+    def deliver(self, solutions: List[Solution], emitted=None) -> None:
+        """Fan one emission batch out to the answered groups' subscribers.
 
         Each call pairs with the oldest stamped batch (drivers buffer and
         deliver in FIFO order); when no batch is pending the driver is
@@ -606,86 +656,35 @@ class FamilyRuntime(_Runtime):
         """
         if not self._pending:
             self.resolve(solutions)
-        _fan_out(self._pending.popleft(), solutions, emitted)
-
-    def _resolve_captured(self, solutions: List[Solution]) -> None:
-        """:meth:`_resolve_linear` for a capturing family: the batch is the
-        anchor's kept attributes and captured children, then the anchor;
-        each matched group's predicate decides, and its output is built
-        from the batch.  Queues ``(group, solutions)`` pairs."""
-        chain = tuple(self._context)
-        matched = self._match_cache.get(chain)
-        if matched is None:
-            matched = [
-                group
-                for group in self.group_list
-                if path_matches(group.steps, chain)
-            ]
-            self._match_cache[chain] = matched
-        answered: List[Tuple[ResidualGroup, List[Solution]]] = []
-        if matched:
-            anchor = solutions[-1]
-            kept: Dict[str, List[Solution]] = {}
-            for solution in solutions[:-1]:
-                key = (
-                    "@" + solution.attribute
-                    if solution.kind is _ATTRIBUTE
-                    else solution.node.tag
-                )
-                found = kept.get(key)
-                if found is None:
-                    kept[key] = [solution]
-                else:
-                    found.append(solution)
-            atoms = self._compiled_atoms
-            numbers: Dict[str, List[float]] = {}
-            truth: Dict[int, bool] = {}
-            outputs: Dict[Optional[Tuple[str, str]], List[Solution]] = {}
-            for group in matched:
-                predicate = group.predicate
-                if predicate is not None:
-                    if predicate.__class__ is int:  # one atom: the common case
-                        holds = truth.get(predicate)
-                        if holds is None:
-                            holds = truth[predicate] = _atom_holds(
-                                atoms[predicate], kept, numbers
-                            )
-                    else:
-                        holds = _holds(predicate, truth, atoms, kept, numbers)
-                    if not holds:
-                        continue
-                output = group.output
-                selected = outputs.get(output)
-                if selected is None:
-                    selected = outputs[output] = _select(output, anchor, solutions, kept)
-                if selected:
-                    add = group.collector.add
-                    for solution in selected:
-                        add(solution)
-                    answered.append((group, selected))
-        self._pending.append(answered)
-
-    def _deliver_captured(self, solutions: List[Solution], emitted=None) -> None:
-        """:meth:`_deliver_linear` for a capturing family: each answered
-        group gets its own solutions."""
-        if not self._pending:
-            self.resolve(solutions)
-        for group, selected in self._pending.popleft():
-            _fan_out((group,), selected, emitted)
+        for groups, selected in self._pending.popleft():
+            _fan_out(groups, selected, emitted)
 
 
 _ATTRIBUTE = SolutionKind.ATTRIBUTE
 
 
+def _kept(solutions: List[Solution]) -> Dict[str, List[Solution]]:
+    """A batch's kept attributes (``"@name"``) and captured children (by
+    tag), each in document order."""
+    kept: Dict[str, List[Solution]] = {}
+    for solution in solutions[:-1]:
+        key = "@" + solution.attribute if solution.kind is _ATTRIBUTE else solution.node.tag
+        found = kept.get(key)
+        if found is None:
+            kept[key] = [solution]
+        else:
+            found.append(solution)
+    return kept
+
+
 def _select(
     output: Optional[Tuple[str, str]],
-    anchor: Solution,
     solutions: List[Solution],
     kept: Dict[str, List[Solution]],
 ) -> List[Solution]:
-    """A capturing family member's solutions for one emitted anchor."""
+    """A member's solutions for one emitted anchor (the batch's last)."""
     if output is None:
-        return [anchor]
+        return solutions[-1:]
     kind, label = output
     if kind == "@":
         if label == "*":
@@ -809,11 +808,17 @@ class QueryIndex:
         node.refs += 1
 
     def relabel(self, runtime: _Runtime, labels: FrozenSet[str]) -> None:
-        """Re-index ``runtime`` after its machine grew from ``labels`` to
-        ``runtime.labels`` (a widened family anchor), keeping its place in
-        registration order."""
+        """Re-index ``runtime`` after its machine was rebuilt from one
+        matching ``labels`` to one matching ``runtime.labels`` (a family
+        anchor widened or narrowed), keeping its place in registration
+        order."""
         if not runtime.wildcard:
             by_label = self._by_label
+            for label in labels - runtime.labels:
+                bucket = by_label[label]
+                bucket.remove(runtime)
+                if not bucket:
+                    del by_label[label]
             for label in runtime.labels - labels:
                 bucket = by_label.setdefault(label, [])
                 bucket.append(runtime)

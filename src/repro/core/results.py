@@ -181,6 +181,35 @@ class MemberCollector:
         return sorted(self._solutions, key=Solution.order_key)
 
 
+class EmissionCounter:
+    """The collector of a capturing family's anchor machine: it counts what
+    the anchor emits and keeps none of it.
+
+    A single-step anchor emits each element once, with that element's kept
+    attributes and captured children, so there is nothing to deduplicate,
+    and the members' :class:`MemberCollector` objects hold the answers.
+    Memory and snapshots therefore stay independent of how many anchors a
+    long document has emitted.
+    """
+
+    __slots__ = ("emitted",)
+
+    def __init__(self) -> None:
+        self.emitted = 0
+
+    def add(self, solution: Solution) -> bool:
+        """Count a solution; it is always new."""
+        self.emitted += 1
+        return True
+
+    def __len__(self) -> int:
+        return 0
+
+    def solutions(self) -> List[Solution]:
+        """Nothing: the counter keeps no solution."""
+        return []
+
+
 def solution_to_payload(solution: Solution) -> Dict[str, object]:
     """Flatten a :class:`Solution` into a JSON-able payload dict.
 

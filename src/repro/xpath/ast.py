@@ -11,10 +11,12 @@ evaluation model.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 
 @unique
@@ -274,6 +276,16 @@ def xpath_number(text: str) -> float:
     return math.nan
 
 
+_COMPARE = {
+    ComparisonOp.EQ: operator.eq,
+    ComparisonOp.NEQ: operator.ne,
+    ComparisonOp.LT: operator.lt,
+    ComparisonOp.LTE: operator.le,
+    ComparisonOp.GT: operator.gt,
+    ComparisonOp.GTE: operator.ge,
+}
+
+
 @dataclass(frozen=True)
 class ValueTest:
     """A comparison applied to a query node's string value."""
@@ -286,37 +298,32 @@ class ValueTest:
         """True when the comparison should use numeric semantics."""
         return isinstance(self.value, float)
 
-    def evaluate(self, text: Optional[str]) -> bool:
-        """Evaluate the test against a node's string value (None = node absent).
+    @cached_property
+    def comparison(self) -> Tuple[bool, Callable[[Any, Any], bool], Union[str, float]]:
+        """The test as ``(numeric, compare, right)``: the value passes when
+        ``compare(left, right)`` holds, ``left`` being its
+        :func:`xpath_number` when ``numeric`` and the string otherwise.
 
         XPath 1.0 §3.4: ``=`` and ``!=`` against a number, and every
         relational operator, compare the :func:`xpath_number` of both
         sides, so NaN makes all but ``!=`` false; ``=`` and ``!=`` against
         a string compare strings.
         """
+        op = self.op
+        compare = _COMPARE[op]
+        if self.is_numeric:
+            return True, compare, self.value
+        if op is ComparisonOp.EQ or op is ComparisonOp.NEQ:
+            return False, compare, self.value
+        return True, compare, xpath_number(self.value)
+
+    def evaluate(self, text: Optional[str]) -> bool:
+        """Evaluate the test against a node's string value (None = node
+        absent), by :attr:`comparison`."""
         if text is None:
             return False
-        op = self.op
-        if self.is_numeric:
-            left: Union[str, float] = xpath_number(text)
-            right: Union[str, float] = self.value
-        elif op is ComparisonOp.EQ or op is ComparisonOp.NEQ:
-            left = text
-            right = self.value
-        else:
-            left = xpath_number(text)
-            right = xpath_number(self.value)
-        if op is ComparisonOp.EQ:
-            return left == right
-        if op is ComparisonOp.NEQ:
-            return left != right
-        if op is ComparisonOp.LT:
-            return left < right
-        if op is ComparisonOp.LTE:
-            return left <= right
-        if op is ComparisonOp.GT:
-            return left > right
-        return left >= right
+        numeric, compare, right = self.comparison
+        return compare(xpath_number(text) if numeric else text, right)
 
     def __str__(self) -> str:
         rendered = Literal(self.value)

@@ -386,3 +386,62 @@ def test_a_family_snapshot_without_its_captures_is_refused():
         with pytest.raises(CheckpointError, match="does not belong"):
             engine.restore_session(snapshot)
         assert len(engine) == 0 and engine.stats().machines == 0
+
+
+def test_a_capturing_anchor_keeps_nothing_it_emits():
+    """The members hold the answers: the anchor's own collector stays empty
+    however long the document, and snapshots carry none of its emissions."""
+    from repro.core.checkpoint import dumps_snapshot, loads_snapshot
+
+    document = ticker_document(12, records=1000)
+    with MultiQueryEvaluator() as engine:
+        for i, query in enumerate(TICKER_QUERIES):
+            engine.subscribe(query, name=f"q{i}")
+        families = [runtime for runtime in engine.index.runtimes if runtime.capturing]
+        assert [family.anchor_label for family in families] == ["alert", "quote"]
+        session = engine.session(parser="pure")
+        session.feed_text(document[: len(document) // 2])
+        assert [len(family.collector) for family in families] == [0, 0]
+        assert all(family.collector.emitted > 100 for family in families)
+        snapshot = loads_snapshot(dumps_snapshot(session.snapshot()))
+        session.feed_text(document[len(document) // 2 :])
+        session.finish()
+        assert [len(family.collector) for family in families] == [0, 0]
+        results = engine.results()
+    for runtime in snapshot["engine"]["runtimes"]:
+        if "captures" in runtime:
+            assert runtime["evaluator"]["collector"]["solutions"] == []
+    for i, query in enumerate(TICKER_QUERIES):
+        assert results[f"q{i}"].keys() == evaluate_with_dom(query, document).keys()
+
+
+def test_a_family_narrows_once_its_capturing_members_leave():
+    """Captures follow the members: dropped at once at rest, at the next
+    rewind when the member leaves mid-document; with no capturing member
+    left the anchor is a plain ``//quote`` again."""
+    document = ticker_document(13)
+    with MultiQueryEvaluator() as engine:
+        engine.subscribe("//quote[vol>99000]", name="vol")
+        engine.subscribe("//quote[price>490]", name="price")
+        engine.subscribe("//quote[@s='S007']", name="attr")
+        engine.subscribe("/ticker/quote", name="plain")
+        family = engine.subscriptions[0].runtime
+        assert (family.captures, family.attributes) == ({"price": True, "vol": True}, True)
+        engine.unregister("vol")  # at rest: at once
+        assert family.captures == {"price": True}
+        assert family not in engine.index.dispatch("vol")
+        session = engine.session(parser="pure")
+        session.feed_text(document[: len(document) // 2])
+        engine.unregister("price")  # mid-document: kept until the rewind
+        assert family.captures == {"price": True}
+        session.feed_text(document[len(document) // 2 :])
+        session.finish()
+        engine.reset()
+        assert (family.captures, family.attributes) == ({}, True)
+        assert family not in engine.index.dispatch("price")
+        assert not family.needs_text
+        engine.unregister("attr")
+        assert not family.capturing
+        assert family.machine.describe() == engine.index.runtimes[0].compiled.build().describe()
+        results = engine.evaluate(document)
+    assert results["plain"].keys() == evaluate_with_dom("/ticker/quote", document).keys()
